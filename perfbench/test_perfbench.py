@@ -11,7 +11,7 @@ import corpora
 import run
 from spans import Span, Tracer, aggregate, self_times
 
-sys.path.insert(0, str(run.ROOT / "src"))
+sys.path[:0] = [str(run.ROOT / "src"), str(run.ROOT / "tests")]
 
 BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
@@ -52,6 +52,48 @@ def test_printed_metrics_match_benchmark_json(tmp_path, trace):
     assert {k: v["unit"] for k, v in result["metrics"].items()} == declared
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
     assert list(tmp_path.iterdir()) == []  # the work directory is removed
+
+
+def test_low_quantile_interpolates_between_sorted_values():
+    assert run.low_quantile([7.0]) == 7.0
+    assert run.low_quantile([4.0, 1.0, 3.0]) == pytest.approx(2.0)
+    assert run.low_quantile([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+    assert run.low_quantile([4.0, 2.0, 1.0, 3.0]) == pytest.approx(1.75)
+
+
+def _tiny_model(seed):
+    import numpy as np
+    from savae import model
+    from savae.corpus import Document
+    from savae.numerics import RngStream
+
+    config = model.ModelConfig(mode="savae", m=40, d=4, k=3, encoder_layers=(16, 16))
+    params = model.init_params(config, RngStream(seed))
+    rng = np.random.default_rng(seed)
+    for b in params.enc_b:  # biases near zero put ReLU kinks near the start point
+        b[:] = 0.05 * rng.standard_normal(b.shape)
+    docs = [Document(ids=list(rng.integers(0, config.m, n)), labels={"a"}) for n in (3, 9, 1)]
+    return docs, params, config
+
+
+def test_gradient_check_passes_a_correct_gradient_and_catches_a_wrong_one(monkeypatch):
+    import checks
+    from savae import model
+
+    docs, params, config = _tiny_model(7)
+    assert checks.check_gradients(docs, params, config, seed=3) == []
+    # a step this large crosses ReLU kinks, which the check must notice
+    assert "across zero" in checks.check_gradients(docs, params, config, 3, steps=(10.0,))[0]
+
+    true = model.batch_elbo_gradients
+
+    def off_by_two_percent(*args):
+        estimates, grads = true(*args)
+        grads["enc_W_1"] = grads["enc_W_1"] * 1.02
+        return estimates, grads
+
+    monkeypatch.setattr(checks.model, "batch_elbo_gradients", off_by_two_percent)
+    assert "directional derivative" in checks.check_gradients(docs, params, config, 3)[0]
 
 
 def _span(name, start, end, parent=-1):

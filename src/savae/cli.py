@@ -28,7 +28,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, inference, training
-from .errors import ConfigError, ParseError, SavaeError
+from .errors import ConfigError, DegenerateLabels, ParseError, SavaeError
 from .model import ModelConfig
 from .numerics import RngStream
 
@@ -80,12 +80,20 @@ class RunConfig:
         value = self.values[key]
         if cast is bool and isinstance(value, str):
             return value.lower() in ("1", "true", "yes")
-        return cast(value)
+        try:
+            return cast(value)
+        except ValueError:
+            raise ConfigError(f"{key}={value} is not a valid {cast.__name__}") from None
 
     def model_config(self, vocab_size):
         layers = self.get("model.encoder_layers")
         if isinstance(layers, str):
-            layers = tuple(int(w) for w in layers.split(",") if w)
+            try:
+                layers = tuple(int(w) for w in layers.split(",") if w)
+            except ValueError:
+                raise ConfigError(
+                    f"model.encoder_layers={layers} is not a comma-separated list of ints"
+                ) from None
         return ModelConfig(
             mode=self.get("model.mode"),
             m=vocab_size,
@@ -228,7 +236,7 @@ def cmd_eval_retrieval(args, cfg):
 def cmd_eval_cluster(args, cfg):
     out = _out_dir(args)
     _, labels, reps = inference.read_representations(args.reps)
-    flat = [next(iter(ls)) if ls else "" for ls in labels]
+    flat = [min(ls) if ls else "" for ls in labels]
     metrics = evaluation.ClusterMetrics(
         davies_bouldin=evaluation.davies_bouldin(reps, flat),
         dunn=evaluation.dunn(reps, flat),
@@ -259,16 +267,26 @@ def cmd_neighbors(args, cfg):
     _write_manifest(out, cfg, {"command": "neighbors", "space": args.space})
 
 
+def _first_labels(label_sets, path):
+    """Each row's first label in sorted order, as the CSV writes them."""
+    for lineno, labels in enumerate(label_sets, start=2):
+        if not labels:
+            raise DegenerateLabels(f"{path}: line {lineno} has an empty label field")
+    return [min(labels) for labels in label_sets]
+
+
 def cmd_probe(args, cfg):
     out = _out_dir(args)
     _, tr_labels, tr_reps = inference.read_representations(args.train)
     _, te_labels, te_reps = inference.read_representations(args.test)
-    classes = sorted({next(iter(ls)) for ls in tr_labels if ls})
+    tr_first = _first_labels(tr_labels, args.train)
+    te_first = _first_labels(te_labels, args.test)
+    classes = sorted(set(tr_first))
     if len(classes) != 2:
         raise ConfigError([f"probe needs exactly 2 classes, found {classes}"])
     to_bin = {classes[0]: 0.0, classes[1]: 1.0}
-    ytr = np.array([to_bin[next(iter(ls))] for ls in tr_labels])
-    yte = np.array([to_bin.get(next(iter(ls)), 0.0) for ls in te_labels])
+    ytr = np.array([to_bin[label] for label in tr_first])
+    yte = np.array([to_bin.get(label, 0.0) for label in te_first])
     acc = evaluation.linear_probe(
         tr_reps, ytr, te_reps, yte,
         evaluation.ProbeConfig(seed=cfg.get("seed", int)),

@@ -109,7 +109,10 @@ def read_representations(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 2:
                 raise ParseError(f"expected {d + 2} fields, got {len(row)}", lineno)
-            ids.append(int(row[0]))
+            try:
+                ids.append(int(row[0]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as err:
+                raise ParseError(f"non-numeric field in {path}: {err}", lineno) from None
             labels.append({l for l in row[1].split("|") if l})
-            rows.append([float(v) for v in row[2:]])
     return ids, labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), d)

@@ -9,6 +9,12 @@ decoder sees z alone.
 
 All gradients of the single-sample ELBO estimator are derived by hand and
 checked against central finite differences in the test suite.
+
+Evaluation scores a document under S posterior samples at once. In savae
+mode the decoder logits split into a sample part and a position part, so
+the S x l softmax normalisers come from one GEMM of their exponentials
+rather than from an (S, l, m) logit tensor; pairs whose factored sum
+underflows are recomputed directly (see ``_doc_log_likelihood_multi``).
 """
 
 from collections import OrderedDict
@@ -274,30 +280,64 @@ def next_word_log_prob(word, z, h, params, config):
     return float(log_softmax(logits)[word])
 
 
+def _logsumexp_rows(logits):
+    """Stable log-sum-exp of each row of a 2-D array."""
+    shift = logits.max(axis=1, keepdims=True)
+    return np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+
+
 def _doc_log_likelihood_multi(ids, Z, params, config):
     """log p(doc | z) for each row z of Z; returns shape (S,).
 
-    The per-position logits decompose into a z part and a position part,
-    so the (S, l, m) tensor is formed by broadcasting.
+    In savae mode every logit splits into a sample part and a position
+    part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
+    ``z_part = Z X_z^T + b`` and ``pos_part = H X_local^T``, so with the
+    row maxima ``zmax[s]`` and ``pmax[t]`` as shifts
+
+        sum_j exp(logits[s, t, j] - zmax[s] - pmax[t])
+            = (exp(z_part - zmax) @ exp(pos_part - pmax).T)[s, t]:
+
+    (S + l) * m exps and one (S, m) x (m, l) GEMM give every softmax
+    normaliser, and the (S, l, m) logits are never formed. The shared
+    shifts can underflow the product for a pair whose two argmaxes
+    disagree by hundreds of nats; those pairs, and only those, are
+    recomputed by the direct log-sum-exp over their m logits.
+
+    In nvdm mode the position dimension collapses, so the likelihood
+    accumulates through word counts; this makes the result exactly
+    invariant to permutations of ids.
     """
     targets = np.asarray(ids, dtype=np.intp)
-    if config.mode == SAVAE:
-        d = config.d
-        H, _, _ = _local_contexts(ids, params, config)
-        z_part = Z @ params.X[:, :d].T  # (S, m)
-        pos_part = H @ params.X[:, d:].T + params.b  # (l, m)
-        logits = z_part[:, None, :] + pos_part[None, :, :]
-        shift = logits.max(axis=2, keepdims=True)
-        lse = np.log(np.exp(logits - shift).sum(axis=2)) + shift[:, :, 0]
-        picked = z_part[:, targets] + pos_part[np.arange(len(ids)), targets][None, :]
-        return (picked - lse).sum(axis=1)
-    # nvdm: the position dimension collapses, so accumulate through counts;
-    # this makes the result exactly invariant to permutations of ids
-    counts = bow_counts(ids, config.m)
-    logits = Z @ params.X.T + params.b  # (S, m)
-    shift = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
-    return logits @ counts - len(ids) * lse
+    if config.mode == NVDM:
+        counts = bow_counts(ids, config.m)
+        logits = Z @ params.X.T + params.b  # (S, m)
+        return logits @ counts - len(ids) * _logsumexp_rows(logits)
+    d = config.d
+    H, _, _ = _local_contexts(ids, params, config)
+    X_local = params.X[:, d:]
+    z_part = Z @ params.X[:, :d].T
+    z_part += params.b  # (S, m): S * m adds here, l * m on pos_part
+    pos_part = H @ X_local.T  # (l, m)
+    picked = z_part[:, targets] + pos_part[np.arange(len(targets)), targets]
+    zmax = z_part.max(axis=1, keepdims=True)
+    pmax = pos_part.max(axis=1, keepdims=True)
+    # pos_part becomes its exps in place: a fresh (l, m) array costs more
+    # in page faults than the exps themselves
+    np.exp(np.subtract(pos_part, pmax, out=pos_part), out=pos_part)
+    sums = np.exp(z_part - zmax) @ pos_part.T  # (S, l)
+    shift = zmax + pmax.T
+    # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
+    # underflow, even where subnormals are flushed to zero, so a sum of at
+    # least m * tiny / eps has lost at most one ulp. Smaller sums mean a
+    # term far below the pair's true maximum carried the shifts; redo them.
+    f64 = np.finfo(np.float64)
+    low = sums < config.m * f64.tiny / f64.eps
+    if low.any():
+        s, t = np.nonzero(low)
+        sums[low] = 1.0
+        shift[low] = _logsumexp_rows(z_part[s] + H[t] @ X_local.T)
+    lse = np.log(sums) + shift
+    return (picked - lse).sum(axis=1)
 
 
 def doc_log_likelihood(doc, z, params, config):
@@ -390,7 +430,7 @@ def batch_elbo_gradients(docs, params, config, eps):
 
     recon = np.zeros(B)
     np.add.at(recon, pos_doc, logp)
-    kl = 0.5 * (mu**2 + np.exp(log_var) - log_var - 1.0).sum(axis=1)
+    kl = 0.5 * (mu**2 + np.expm1(log_var) - log_var).sum(axis=1)  # as kl_standard_normal
     estimates = [
         ElboEstimate(reconstruction=float(r), kl=float(k_), samples=1)
         for r, k_ in zip(recon, kl)
@@ -421,7 +461,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     np.add.at(dZ, pos_doc, dZrep)
 
     dmu = dZ - mu
-    dlog_var = dZ * 0.5 * sd * eps - 0.5 * (np.exp(log_var) - 1.0)
+    dlog_var = dZ * 0.5 * sd * eps - 0.5 * np.expm1(log_var)
 
     h_top = acts[-1]
     grads["W_mu"] = h_top.T @ dmu

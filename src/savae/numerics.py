@@ -137,7 +137,10 @@ def sample_reparameterized(q, eps):
 
 
 def kl_standard_normal(q):
-    """Analytic KL(q || N(0, I)) for a diagonal Gaussian q."""
-    return 0.5 * float(
-        np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
-    )
+    """Analytic KL(q || N(0, I)) for a diagonal Gaussian q.
+
+    Each term is written ``expm1(lv) - lv``: expm1(x) >= x holds after
+    rounding too, so the result is never negative, where
+    ``exp(lv) - lv - 1`` cancels to a few ulps below zero near lv = 0.
+    """
+    return 0.5 * float(np.sum(q.mu**2 + np.expm1(q.log_var) - q.log_var))

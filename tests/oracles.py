@@ -5,6 +5,7 @@ shares no code with the package internals it checks.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -184,3 +185,36 @@ def prior_sampling_log_likelihoods(ids, params, config, n_samples, rng):
     lls = naive_doc_log_likelihoods(ids, Z, params, config)
     mx = lls.max()
     return mx + math.log(np.mean(np.exp(lls - mx)))
+
+
+def exact_doc_log_likelihoods(ids, Z, params, config, digits=50):
+    """naive_doc_log_likelihoods in ``digits``-digit decimal arithmetic.
+
+    Every float64 input converts to Decimal exactly, so this is the
+    likelihood of the stored parameters and samples far below float64
+    rounding: a reference for absolute error where results are too close
+    to zero for a relative tolerance.
+    """
+
+    def dec(values):
+        return [Decimal(float(v)) for v in values]
+
+    X = [dec(row) for row in params.X]
+    b = dec(params.b)
+    totals = []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for z in Z:
+            total = Decimal(0)
+            for t, w in enumerate(ids):
+                context = dec(z)
+                if config.mode == "savae":
+                    s = dec(params.c_local)
+                    for u in ids[max(0, t - config.k) : t]:
+                        s = [a + v for a, v in zip(s, dec(params.V_local[u]))]
+                    context += [1 / (1 + (-a).exp()) for a in s]
+                logits = [sum(c * x for c, x in zip(context, row)) + bj for row, bj in zip(X, b)]
+                mx = max(logits)
+                total += logits[w] - mx - sum((l - mx).exp() for l in logits).ln()
+            totals.append(float(total))
+    return np.array(totals)

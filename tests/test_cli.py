@@ -158,3 +158,85 @@ class TestErrorsAndConfig:
         assert "model.mode=nvdm" in manifest  # from file
         assert "model.d=2" in manifest  # flag overrides file
         capsys.readouterr()
+
+
+def _write_reps(path, rows):
+    """rows: (labels, vector) pairs, written through the CSV contract."""
+    reps = [
+        DocRepresentation(vector=np.asarray(vec, dtype=float), labels=set(labels), doc_id=i)
+        for i, (labels, vec) in enumerate(rows)
+    ]
+    write_representations(reps, path)
+
+
+class TestCategorizedErrors:
+    def test_bad_config_cast(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.d=abc\n")
+        capsys.readouterr()
+        code = run(["--config", cfg, "--out", tmp_path / "t", "train",
+                    "--corpus", tmp_path / "pre" / "corpus.savc"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "model.d=abc" in err
+
+    def test_non_numeric_vector_field(self, tmp_path, capsys):
+        path = tmp_path / "reps.csv"
+        path.write_text("id,labels,v0\n0,a,0.5\n1,a,notanumber\n")
+        code = run(["--out", tmp_path / "clu", "eval-cluster", "--reps", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: line 3:") and "notanumber" in err
+
+    def test_probe_row_without_label(self, tmp_path, capsys):
+        _write_reps(tmp_path / "train.csv", [({"neg"}, [-1.0]), ({"pos"}, [1.0])])
+        (tmp_path / "test.csv").write_text("id,labels,v0\n0,neg,-1.0\n1,,1.0\n")
+        code = run(["--out", tmp_path / "probe", "probe",
+                    "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateLabels:") and "line 3" in err
+
+
+class TestMultiLabelChoice:
+    """A multi-label row counts under its first label in sorted order."""
+
+    LABELS = ["a", "b", "c", "d", "e", "f"]
+
+    def _rows(self, first_only):
+        rng = np.random.default_rng(3)
+        rows = []
+        for i in range(60):
+            labels = set(rng.choice(self.LABELS, size=1 + i % 3, replace=False))
+            first = min(labels)
+            center = np.eye(len(self.LABELS))[self.LABELS.index(first)] * 4.0
+            rows.append(({first} if first_only else labels, center + rng.normal(size=6)))
+        return rows
+
+    def _report(self, tmp_path, name, first_only):
+        _write_reps(tmp_path / f"{name}.csv", self._rows(first_only))
+        assert run(["--out", tmp_path / name, "eval-cluster",
+                    "--reps", tmp_path / f"{name}.csv"]) == 0
+        return (tmp_path / name / "cluster_metrics.txt").read_text()
+
+    def test_eval_cluster(self, tmp_path, capsys):
+        assert self._report(tmp_path, "multi", False) == self._report(tmp_path, "first", True)
+        capsys.readouterr()
+
+    def test_probe(self, tmp_path, capsys):
+        # the multi-label rows sit with their first label's class; any other
+        # choice mislabels them and costs accuracy
+        rng = np.random.default_rng(4)
+        for name, n in (("train", 80), ("test", 40)):
+            rows = []
+            for i in range(n):
+                labels = [{"neg"}, {"pos"}, {"neg", "pos"}][i % 3]
+                rows.append((labels, [(-3.0 if min(labels) == "neg" else 3.0), rng.normal()]))
+            _write_reps(tmp_path / f"{name}.csv", rows)
+        assert run(["--out", tmp_path / "probe", "probe",
+                    "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv"]) == 0
+        report = (tmp_path / "probe" / "probe_accuracy.txt").read_text()
+        assert report == "positive_class=pos\naccuracy=1.0000\n"
+        capsys.readouterr()

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_doc, random_model, tiny_config, zero_model
-from oracles import finite_difference_grads, importance_sampling_log_likelihood
+from oracles import (
+    exact_doc_log_likelihoods,
+    finite_difference_grads,
+    importance_sampling_log_likelihood,
+    naive_doc_log_likelihoods,
+)
+from savae import model
 from savae.corpus import Document
 from savae.errors import EmptyDocument
 from savae.model import (
@@ -196,6 +204,100 @@ class TestDocLogLikelihood:
         a = doc_log_likelihood(Document(ids=ids), z, params, cfg)
         b = doc_log_likelihood(Document(ids=perm), z, params, cfg)
         assert a == b
+
+
+@st.composite
+def likelihood_cases(draw, max_scale=1.0):
+    """(config, params, ids, Z): small random shapes; the weights, the bias
+    and the samples drawn at up to ``max_scale`` times init scale, and the
+    local half of X at up to its square, so that the position part of a
+    logit can rival the z part."""
+    mode = draw(st.sampled_from(["savae", "savae", "nvdm"]))
+    m = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    # a small id range makes repeated words within a window likely
+    ids = draw(st.lists(st.integers(0, min(m, 3) - 1), min_size=1, max_size=10))
+    seed = draw(st.integers(0, 2**16))
+    scale = draw(st.floats(0.25, max_scale))
+    config = ModelConfig(mode=mode, m=m, d=d, k=k, encoder_layers=(3,))
+    params = random_model(config, seed=seed)
+    for arr in params.named_arrays().values():
+        arr *= scale
+    params.b[:] = RngStream(seed).normal((m,)) * scale
+    params.X[:, d:] *= draw(st.floats(1.0, max_scale))
+    Z = RngStream(seed + 1).normal((draw(st.integers(1, 5)), d)) * scale
+    return config, params, ids, Z
+
+
+def _case(m, d, k, ids, samples, seed=0):
+    config = ModelConfig(mode="savae", m=m, d=d, k=k, encoder_layers=(3,))
+    Z = RngStream(seed + 1).normal((samples, d))
+    return config, random_model(config, seed=seed), ids, Z
+
+
+class TestFactoredLikelihood:
+    @given(likelihood_cases())
+    @example(_case(m=1, d=2, k=2, ids=[0, 0, 0], samples=3))
+    @example(_case(m=5, d=1, k=3, ids=[4], samples=2))
+    @example(_case(m=4, d=2, k=6, ids=[1, 3], samples=1))
+    @example(_case(m=6, d=2, k=4, ids=[2, 2, 5, 2, 2, 0], samples=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle(self, case):
+        # at up to init scale no softmax is peaked enough to put a
+        # log-likelihood near 0, where a relative tolerance stops making
+        # sense (see the next test); m = 1 gives exactly 0 on both sides
+        config, params, ids, Z = case
+        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        theirs = naive_doc_log_likelihoods(ids, Z, params, config)
+        np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+
+    @given(likelihood_cases(max_scale=60.0))
+    @settings(max_examples=30, deadline=None)
+    def test_large_logits_within_rounding_of_exact(self, case):
+        # Logits of hundreds of nats put the two argmaxes of many pairs far
+        # apart, on both sides of the fallback threshold. A nearly certain
+        # word has log p close to 0, where any two summation orders differ
+        # by an ulp of the largest logit, so the error is bounded absolutely:
+        # a few ulps of the a-priori logit magnitude per position.
+        config, params, ids, Z = case
+        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        exact = exact_doc_log_likelihoods(ids, Z, params, config)
+        d = config.d
+        magnitude = np.abs(Z).max() * np.abs(params.X[:, :d]).sum(axis=1).max()
+        if config.mode == "savae":
+            magnitude += np.abs(params.X[:, d:]).sum(axis=1).max()
+        magnitude += np.abs(params.b).max() + 1.0
+        tol = 32 * np.finfo(np.float64).eps * len(ids) * magnitude
+        np.testing.assert_allclose(ours, exact, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("gap", [1000.0, 740.0])
+    def test_underflowing_pairs_recomputed_directly(self, gap, monkeypatch):
+        # sample 0 puts word 0 ``gap`` nats above word 1 and every position
+        # (local context 0.5) does the opposite, so the factored sum
+        # exp(z_part - zmax) @ exp(pos_part - pmax).T is 2 exp(-gap) for
+        # sample 0 although its logits are all 0: exactly 0 at 1000 nats, a
+        # subnormal with a few significant bits at 740
+        config = ModelConfig(mode="savae", m=2, d=1, k=2, encoder_layers=(2,))
+        params = zero_model(config)
+        params.X[:, 0] = [gap / 2, -gap / 2]
+        params.X[:, 1] = [-gap, gap]
+        ids = [0, 1, 1, 0, 1]
+        Z = np.array([[1.0], [0.0]])
+        direct = model._logsumexp_rows
+        direct_rows = []
+
+        def spy(logits):
+            direct_rows.append(len(logits))
+            return direct(logits)
+
+        monkeypatch.setattr(model, "_logsumexp_rows", spy)
+        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        assert direct_rows == [len(ids)]  # the pairs of sample 0, and only those
+        assert np.all(np.isfinite(ours))
+        theirs = naive_doc_log_likelihoods(ids, Z, params, config)
+        np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+        assert ours[0] == pytest.approx(-len(ids) * np.log(2.0), rel=1e-15)
 
 
 class TestElbo:

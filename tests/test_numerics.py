@@ -120,6 +120,11 @@ class TestKl:
         mc, se = mc_kl_standard_normal(mu, lv, 10**6, np_rng)
         assert abs(analytic - mc) < 3 * se
 
+    def test_nonnegative_next_to_the_prior(self):
+        # exp(lv) - lv - 1 rounds to -5.55e-17 here
+        q = GaussianPosterior(np.array([0.0]), np.array([6.265404784005448e-10]))
+        assert kl_standard_normal(q) >= 0.0
+
     @given(finite_vectors.flatmap(
         lambda mu: st.tuples(
             st.just(mu),

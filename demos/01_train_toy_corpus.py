@@ -56,7 +56,6 @@ train_config = training.TrainConfig(
     epochs=30,
     batch_size=5,
     seed=2,
-    deterministic=True,
     checkpoint_every=0,
 )
 

@@ -10,8 +10,7 @@ identical to the full experiment apart from the sizes.
 import numpy as np
 
 from savae import corpus, evaluation, inference, training
-from savae.model import ModelConfig, perplexity
-from savae.numerics import RngStream
+from savae.model import ModelConfig
 
 TOPICS = {
     "cooking": [
@@ -41,12 +40,11 @@ for mode, lr in (("savae", 0.005), ("nvdm", 0.01)):
         mode=mode, m=len(split.vocabulary), d=4, k=3, encoder_layers=(16,)
     )
     train_config = training.TrainConfig(
-        learning_rate=lr, epochs=40, batch_size=6, seed=2,
-        deterministic=True, checkpoint_every=0,
+        learning_rate=lr, epochs=40, batch_size=6, seed=2, checkpoint_every=0,
     )
     params, log = training.train(split, model_config, train_config)
 
-    ppl = perplexity(split.train, params, model_config, RngStream(7), samples=20)
+    _, ppl = inference.evaluate_bound(split.train, params, model_config, samples=20, seed=7)
     reps = inference.represent_batch(split.train, params, model_config)
     vectors = np.stack([r.vector for r in reps])
     label_sets = [r.labels for r in reps]

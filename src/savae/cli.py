@@ -45,7 +45,6 @@ DEFAULTS = {
     "train.batch_size": 64,
     "train.checkpoint_every": 100,
     "seed": 2,
-    "deterministic": True,
 }
 
 
@@ -70,7 +69,14 @@ class RunConfig:
     def __init__(self, config_path=None):
         self.values = dict(DEFAULTS)
         if config_path:
-            self.values.update(read_config_file(config_path))
+            values = read_config_file(config_path)
+            unknown = sorted(set(values) - set(DEFAULTS))
+            if unknown:
+                raise ConfigError(
+                    f"unknown config key(s) {', '.join(unknown)} in {config_path}; "
+                    f"valid keys: {', '.join(sorted(DEFAULTS))}"
+                )
+            self.values.update(values)
 
     def override(self, key, value):
         if value is not None:
@@ -78,8 +84,6 @@ class RunConfig:
 
     def get(self, key, cast=str):
         value = self.values[key]
-        if cast is bool and isinstance(value, str):
-            return value.lower() in ("1", "true", "yes")
         try:
             return cast(value)
         except ValueError:
@@ -109,7 +113,6 @@ class RunConfig:
             epochs=self.get("train.epochs", int),
             batch_size=self.get("train.batch_size", int),
             seed=self.get("seed", int),
-            deterministic=self.get("deterministic", bool),
             checkpoint_every=self.get("train.checkpoint_every", int),
             checkpoint_dir=str(Path(out_dir) / "checkpoints"),
         )
@@ -285,8 +288,14 @@ def cmd_probe(args, cfg):
     if len(classes) != 2:
         raise ConfigError([f"probe needs exactly 2 classes, found {classes}"])
     to_bin = {classes[0]: 0.0, classes[1]: 1.0}
+    for lineno, label in enumerate(te_first, start=2):
+        if label not in to_bin:
+            raise DegenerateLabels(
+                f"{args.test}: line {lineno} has label {label!r}, "
+                f"which is neither training class {classes}"
+            )
     ytr = np.array([to_bin[label] for label in tr_first])
-    yte = np.array([to_bin.get(label, 0.0) for label in te_first])
+    yte = np.array([to_bin[label] for label in te_first])
     acc = evaluation.linear_probe(
         tr_reps, ytr, te_reps, yte,
         evaluation.ProbeConfig(seed=cfg.get("seed", int)),
@@ -307,14 +316,12 @@ def build_parser():
     for add in (parser.add_argument, common.add_argument):
         add("--config", help="key=value config file (dotted keys)")
         add("--seed", type=int, help="master random seed")
-        add("--deterministic", action="store_true", default=None,
-            help="force fixed reduction orders everywhere")
         add("--out", help="output directory")
     # flags may appear before or after the subcommand; the subcommand copy
     # must not clobber a value given up front
     for action in common._actions:
         action.default = argparse.SUPPRESS
-    parser.set_defaults(config=None, seed=None, deterministic=None, out="out")
+    parser.set_defaults(config=None, seed=None, out="out")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", parents=[common],
@@ -374,7 +381,6 @@ def main(argv=None):
     try:
         cfg = RunConfig(args.config)
         cfg.override("seed", args.seed)
-        cfg.override("deterministic", args.deterministic)
         args.func(args, cfg)
     except SavaeError as err:
         print(f"error: {err.category}: {err}", file=sys.stderr)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorruptCheckpoint, EmptyCorpus, IoError, ParseError, UnsupportedVersion
+from .fileio import atomic_write
 from .numerics import RngStream
 
 __all__ = [
@@ -203,7 +204,7 @@ def _write_docs(fh, docs):
 
 
 def save_corpus_file(split, path):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CORPUS_MAGIC)
         fh.write(struct.pack("<I", CORPUS_VERSION))
         fh.write(struct.pack("<q", split.shuffle_seed))
@@ -269,6 +270,8 @@ def load_corpus_file(path):
         vocab = Vocabulary(tokens=tokens, counts=counts)
         train = _read_docs(r)
         test = _read_docs(r)
+        if fh.read(1):
+            raise CorruptCheckpoint(f"trailing bytes after the last document in {path}")
     return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllDocumentsEmpty, EmptyDocument, IoError, ParseError
+from .fileio import atomic_write
 from .model import elbo, encode
 from .numerics import RngStream
 
@@ -84,7 +85,7 @@ def write_representations(reps, path):
     if not reps:
         raise AllDocumentsEmpty("no representations to write")
     d = len(reps[0].vector)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "labels"] + [f"v{i}" for i in range(d)])
         for rep in reps:

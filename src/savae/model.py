@@ -14,7 +14,10 @@ Evaluation scores a document under S posterior samples at once. In savae
 mode the decoder logits split into a sample part and a position part, so
 the S x l softmax normalisers come from one GEMM of their exponentials
 rather than from an (S, l, m) logit tensor; pairs whose factored sum
-underflows are recomputed directly (see ``_doc_log_likelihood_multi``).
+underflows are recomputed directly (see ``doc_log_likelihoods``).
+
+Training and evaluation share one window builder (``_local_contexts``) and
+one KL (``numerics.kl_standard_normal``).
 """
 
 from collections import OrderedDict
@@ -22,21 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDocumentsEmpty, ConfigError, EmptyDocument
-from .numerics import GaussianPosterior, kl_standard_normal, log_softmax, relu, sigmoid
+from .errors import ConfigError, EmptyDocument
+from .numerics import GaussianPosterior, kl_standard_normal, relu, sigmoid
 
 __all__ = [
     "ElboEstimate",
     "ModelConfig",
     "ModelParams",
-    "doc_log_likelihood",
+    "batch_elbo_gradients",
+    "doc_log_likelihoods",
     "elbo",
-    "elbo_gradients",
     "encode",
     "init_params",
-    "local_context",
-    "next_word_log_prob",
-    "perplexity",
 ]
 
 SAVAE = "savae"
@@ -207,12 +207,6 @@ def init_params(config, rng):
     return ModelParams.from_named(named, config)
 
 
-def zero_grads(config):
-    return OrderedDict(
-        (name, np.zeros(shape)) for name, shape in expected_shapes(config).items()
-    )
-
-
 def bow_counts(ids, m):
     """Raw word-count vector of a document; the encoder input."""
     return np.bincount(np.asarray(ids, dtype=np.intp), minlength=m).astype(np.float64)
@@ -242,42 +236,26 @@ def encode(doc, params, config):
     return GaussianPosterior(mu=mu[0], log_var=log_var[0])
 
 
-def local_context(window, params):
-    """sigmoid(c + sum of local embeddings of the window words)."""
-    s = params.c_local.copy()
-    for w in window:
-        s += params.V_local[w]
-    return sigmoid(s)
+def _local_contexts(ids, lengths, params, config):
+    """Local context vectors of concatenated documents of ``lengths`` tokens.
 
-
-def _window_arrays(ids, k):
-    """Window ids (l, k) and validity mask for each position's previous words."""
-    l = len(ids)
-    win = np.zeros((l, k), dtype=np.intp)
-    mask = np.zeros((l, k), dtype=bool)
-    arr = np.asarray(ids, dtype=np.intp)
+    Returns H (T, d), the window ids (T, k) and their validity mask; column
+    ``k - o`` holds the word ``o`` positions back, valid while it lies in
+    the same document.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    k = config.k
+    doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pos = np.arange(len(ids))
+    win = np.zeros((len(ids), k), dtype=np.intp)
+    mask = np.zeros((len(ids), k), dtype=bool)
     for off in range(1, k + 1):
-        col = k - off
-        win[off:, col] = arr[:-off]
-        mask[off:, col] = True
-    return win, mask
-
-
-def _local_contexts(ids, params, config):
-    """(l, d) matrix of local context vectors for every position."""
-    win, mask = _window_arrays(ids, config.k)
+        valid = pos[off:] - off >= doc_start[off:]
+        mask[off:, k - off] = valid
+        win[off:, k - off] = np.where(valid, ids[:-off], 0)
     emb = params.V_local[win] * mask[:, :, None]
     return sigmoid(emb.sum(axis=1) + params.c_local), win, mask
-
-
-def next_word_log_prob(word, z, h, params, config):
-    """log p(word | z, h) under the softmax decoder."""
-    if config.mode == SAVAE:
-        ctx = np.concatenate([z, h])
-    else:
-        ctx = z
-    logits = params.X @ ctx + params.b
-    return float(log_softmax(logits)[word])
 
 
 def _logsumexp_rows(logits):
@@ -286,7 +264,7 @@ def _logsumexp_rows(logits):
     return np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
 
 
-def _doc_log_likelihood_multi(ids, Z, params, config):
+def doc_log_likelihoods(ids, Z, params, config):
     """log p(doc | z) for each row z of Z; returns shape (S,).
 
     In savae mode every logit splits into a sample part and a position
@@ -313,7 +291,7 @@ def _doc_log_likelihood_multi(ids, Z, params, config):
         logits = Z @ params.X.T + params.b  # (S, m)
         return logits @ counts - len(ids) * _logsumexp_rows(logits)
     d = config.d
-    H, _, _ = _local_contexts(ids, params, config)
+    H, _, _ = _local_contexts(ids, [len(ids)], params, config)
     X_local = params.X[:, d:]
     z_part = Z @ params.X[:, :d].T
     z_part += params.b  # (S, m): S * m adds here, l * m on pos_part
@@ -340,14 +318,6 @@ def _doc_log_likelihood_multi(ids, Z, params, config):
     return (picked - lse).sum(axis=1)
 
 
-def doc_log_likelihood(doc, z, params, config):
-    """Sum over positions of log p(w_t | previous-k window, z)."""
-    if doc.length == 0:
-        raise EmptyDocument("cannot score an empty document")
-    z = np.asarray(z, dtype=np.float64)
-    return float(_doc_log_likelihood_multi(doc.ids, z[None, :], params, config)[0])
-
-
 def elbo(doc, params, config, rng, samples=1):
     """Monte-Carlo ELBO with ``samples`` reparameterized posterior draws."""
     if samples < 1:
@@ -357,26 +327,12 @@ def elbo(doc, params, config, rng, samples=1):
     q = encode(doc, params, config)
     eps = rng.normal((samples, config.d))
     Z = q.mu + np.exp(0.5 * q.log_var) * eps
-    ll = _doc_log_likelihood_multi(doc.ids, Z, params, config)
+    ll = doc_log_likelihoods(doc.ids, Z, params, config)
     return ElboEstimate(
         reconstruction=float(ll.mean()),
-        kl=kl_standard_normal(q),
+        kl=float(kl_standard_normal(q)),
         samples=samples,
     )
-
-
-def elbo_with_fixed_eps(docs, params, config, eps):
-    """Per-document single-sample ELBO totals for a fixed eps matrix.
-
-    Forward-only twin of :func:`batch_elbo_gradients`; used by the
-    finite-difference gradient checks.
-    """
-    totals = np.empty(len(docs))
-    for i, doc in enumerate(docs):
-        q = encode(doc, params, config)
-        z = q.mu + np.exp(0.5 * q.log_var) * eps[i]
-        totals[i] = doc_log_likelihood(doc, z, params, config) - kl_standard_normal(q)
-    return totals
 
 
 def batch_elbo_gradients(docs, params, config, eps):
@@ -407,15 +363,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     targets = np.concatenate([np.asarray(doc.ids, dtype=np.intp) for doc in docs])
 
     if config.mode == SAVAE:
-        wins, masks = [], []
-        for doc in docs:
-            w, mk = _window_arrays(doc.ids, config.k)
-            wins.append(w)
-            masks.append(mk)
-        win = np.concatenate(wins)  # (T, k)
-        mask = np.concatenate(masks)
-        S = (params.V_local[win] * mask[:, :, None]).sum(axis=1) + params.c_local
-        H = sigmoid(S)  # (T, d)
+        H, win, mask = _local_contexts(targets, lengths, params, config)  # (T, d)
         C = np.concatenate([Z[pos_doc], H], axis=1)  # (T, 2d)
     else:
         C = Z[pos_doc]
@@ -430,7 +378,7 @@ def batch_elbo_gradients(docs, params, config, eps):
 
     recon = np.zeros(B)
     np.add.at(recon, pos_doc, logp)
-    kl = 0.5 * (mu**2 + np.expm1(log_var) - log_var).sum(axis=1)  # as kl_standard_normal
+    kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))  # (B,)
     estimates = [
         ElboEstimate(reconstruction=float(r), kl=float(k_), samples=1)
         for r, k_ in zip(recon, kl)
@@ -477,33 +425,4 @@ def batch_elbo_gradients(docs, params, config, eps):
         if i > 0:
             dh = da @ params.enc_W[i].T
 
-    ordered = zero_grads(config)
-    for name in ordered:
-        ordered[name] = grads[name]
-    return estimates, ordered
-
-
-def elbo_gradients(doc, params, config, rng):
-    """Single-document, single-sample ELBO estimate and its gradients."""
-    if doc.length == 0:
-        raise EmptyDocument("cannot differentiate an empty document")
-    eps = rng.normal((1, config.d))
-    estimates, grads = batch_elbo_gradients([doc], params, config, eps)
-    return estimates[0], grads
-
-
-def perplexity(docs, params, config, rng, samples=None):
-    """exp(-sum of ELBO totals / total word count) over non-empty docs."""
-    if samples is None:
-        samples = config.sample_count_eval
-    total = 0.0
-    words = 0
-    for doc in docs:
-        if doc.length == 0:
-            continue
-        est = elbo(doc, params, config, rng, samples=samples)
-        total += est.total
-        words += doc.length
-    if words == 0:
-        raise AllDocumentsEmpty("no non-empty documents to evaluate")
-    return float(np.exp(-total / words))
+    return estimates, OrderedDict((name, grads[name]) for name in expected_shapes(config))

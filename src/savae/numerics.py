@@ -1,6 +1,5 @@
-"""Dense numeric kernel: activations, stable softmax, Gaussian posteriors
-with the reparameterization trick, analytic KL against a standard normal,
-and a portable seeded RNG.
+"""Dense numeric kernel: activations, diagonal Gaussian posteriors, their
+analytic KL against a standard normal, and a portable seeded RNG.
 
 All arrays are 64-bit floats. The RNG is built on the Philox 4x64
 counter-based generator so that a given seed reproduces the same stream
@@ -16,9 +15,7 @@ __all__ = [
     "GaussianPosterior",
     "RngStream",
     "kl_standard_normal",
-    "log_softmax",
     "relu",
-    "sample_reparameterized",
     "sigmoid",
 ]
 
@@ -101,10 +98,6 @@ class GaussianPosterior:
                 f"mu shape {self.mu.shape} != log_var shape {self.log_var.shape}"
             )
 
-    @property
-    def dim(self):
-        return self.mu.shape[-1]
-
 
 def relu(x):
     return np.maximum(x, 0.0)
@@ -121,26 +114,12 @@ def sigmoid(x):
     return out
 
 
-def log_softmax(logits, axis=-1):
-    """logits - logsumexp(logits), stable for large-magnitude inputs."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shift = np.max(logits, axis=axis, keepdims=True)
-    shifted = logits - shift
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - lse
-
-
-def sample_reparameterized(q, eps):
-    """z = mu + exp(log_var / 2) * eps for standard-normal eps."""
-    eps = np.asarray(eps, dtype=np.float64)
-    return q.mu + np.exp(0.5 * q.log_var) * eps
-
-
 def kl_standard_normal(q):
-    """Analytic KL(q || N(0, I)) for a diagonal Gaussian q.
+    """Analytic KL(q || N(0, I)) for a diagonal Gaussian q, summed over the
+    last axis: a scalar for one posterior, shape (B,) for a batch of them.
 
     Each term is written ``expm1(lv) - lv``: expm1(x) >= x holds after
     rounding too, so the result is never negative, where
     ``exp(lv) - lv - 1`` cancels to a few ulps below zero near lv = 0.
     """
-    return 0.5 * float(np.sum(q.mu**2 + np.expm1(q.log_var) - q.log_var))
+    return 0.5 * np.sum(q.mu**2 + np.expm1(q.log_var) - q.log_var, axis=-1)

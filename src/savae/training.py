@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteGradient,
     UnsupportedVersion,
 )
+from .fileio import atomic_write
 from .model import ModelConfig, ModelParams, expected_shapes
 from .numerics import RngStream
 
@@ -49,7 +50,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
-    deterministic: bool = True
     checkpoint_every: int = 100
     checkpoint_dir: str = None
 
@@ -187,7 +187,7 @@ def train(corpus, model_config, train_config, progress=None):
 
 
 def save_checkpoint(params, config, path):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         cfg = json.dumps(config.to_dict()).encode("utf-8")
@@ -249,4 +249,6 @@ def load_checkpoint(path, expect_mode=None):
             count = int(np.prod(shape, dtype=np.int64))
             arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
             named[name] = arr.astype(np.float64).reshape(shape)
+        if fh.read(1):
+            raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")
     return ModelParams.from_named(named, config), config

@@ -6,6 +6,7 @@ shares no code with the package internals it checks.
 
 import math
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -147,14 +148,6 @@ def mc_kl_standard_normal(mu, log_var, n_samples, rng):
     return diff.mean(), diff.std(ddof=1) / math.sqrt(n_samples)
 
 
-def importance_sampling_log_likelihood(doc, params, config, n_samples, rng, doc_ll):
-    """log p(doc) estimated by prior sampling: log mean_j p(doc | z_j)."""
-    Z = rng.standard_normal((n_samples, config.d))
-    lls = np.array([doc_ll(doc, z, params, config) for z in Z])
-    mx = lls.max()
-    return mx + math.log(np.mean(np.exp(lls - mx)))
-
-
 def naive_doc_log_likelihoods(ids, Z, params, config):
     """log p(doc | z) for each row of Z, built position by position.
 
@@ -177,6 +170,58 @@ def naive_doc_log_likelihoods(ids, Z, params, config):
         lse = mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1))
         total += logits[:, w] - lse
     return total
+
+
+def log_softmax(logits):
+    """logits - logsumexp(logits) over the last axis."""
+    shifted = np.asarray(logits, dtype=float) - np.max(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def local_context(window, params):
+    """sigmoid(c + sum of the local embeddings of the window words)."""
+    s = np.array(params.c_local, dtype=float, copy=True)
+    for w in window:
+        s = s + params.V_local[w]
+    return 1.0 / (1.0 + np.exp(-s))
+
+
+def next_word_log_prob(word, z, h, params, config):
+    """log p(word | z, h) under the softmax decoder; h is unused in nvdm mode."""
+    ctx = np.concatenate([z, h]) if config.mode == "savae" else z
+    return float(log_softmax(params.X @ ctx + params.b)[word])
+
+
+def encoder_posterior(ids, params):
+    """q(z|doc) as ``mu``/``log_var`` from a plain ReLU MLP over word counts."""
+    counts = np.zeros(params.X.shape[0])
+    for w in ids:
+        counts[w] += 1.0
+    h = counts
+    for W, b in zip(params.enc_W, params.enc_b):
+        h = np.maximum(h @ W + b, 0.0)
+    return SimpleNamespace(
+        mu=h @ params.W_mu + params.b_mu, log_var=h @ params.W_logvar + params.b_logvar
+    )
+
+
+def sample_reparameterized(q, eps):
+    """z = mu + exp(log_var / 2) * eps for standard-normal eps."""
+    return q.mu + np.exp(0.5 * q.log_var) * np.asarray(eps, dtype=float)
+
+
+def elbo_with_fixed_eps(docs, params, config, eps):
+    """Per-document single-sample ELBO totals for a fixed (B, d) eps matrix:
+    the naive likelihood at the reparameterized sample minus the
+    closed-form KL(q || N(0, I))."""
+    totals = np.empty(len(docs))
+    for i, doc in enumerate(docs):
+        q = encoder_posterior(doc.ids, params)
+        z = sample_reparameterized(q, eps[i])
+        ll = naive_doc_log_likelihoods(doc.ids, z[None, :], params, config)[0]
+        kl = 0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
+        totals[i] = ll - kl
+    return totals
 
 
 def prior_sampling_log_likelihoods(ids, params, config, n_samples, rng):

@@ -170,6 +170,20 @@ def _write_reps(path, rows):
 
 
 class TestCategorizedErrors:
+    def test_unknown_config_key(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modle.d=4\n")
+        capsys.readouterr()
+        code = run(["--config", cfg, "--out", tmp_path / "t", "train",
+                    "--corpus", tmp_path / "pre" / "corpus.savc"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "modle.d" in err
+        assert "model.d" in err and "train.lr" in err  # the valid keys are listed
+        assert not (tmp_path / "t" / "model.savm").exists()
+
     def test_bad_config_cast(self, tmp_path, corpus_dir, capsys):
         run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
              "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
@@ -198,6 +212,18 @@ class TestCategorizedErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DegenerateLabels:") and "line 3" in err
+
+    def test_probe_test_label_outside_training_classes(self, tmp_path, capsys):
+        _write_reps(tmp_path / "train.csv",
+                    [({"neg"}, [-3.0]), ({"pos"}, [3.0])] * 10)
+        _write_reps(tmp_path / "test.csv",
+                    [({"pos"}, [3.0])] * 10 + [({"other"}, [3.0])] * 10)
+        code = run(["--out", tmp_path / "probe", "probe",
+                    "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateLabels:")
+        assert "'other'" in err and "line 12" in err
 
 
 class TestMultiLabelChoice:

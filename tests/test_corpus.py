@@ -227,6 +227,13 @@ class TestCorpusFile:
         with pytest.raises(CorruptCheckpoint):
             load_corpus_file(path)
 
+    def test_trailing_byte(self, tmp_path):
+        path = tmp_path / "corpus.savc"
+        save_corpus_file(self._split(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CorruptCheckpoint, match="trailing bytes"):
+            load_corpus_file(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "corpus.savc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -119,6 +119,19 @@ class TestRepresentationCsv:
         ids, _, mat = read_representations(path)
         assert ids == [1] and mat.shape == (1, 2)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "reps.csv"
+        write_representations([DocRepresentation(vector=np.ones(2), labels={"x"})], path)
+        before = path.read_bytes()
+        reps = [
+            DocRepresentation(vector=np.zeros(2), labels={"y"}, doc_id=0),
+            DocRepresentation(vector=np.array(["oops", "1"]), labels={"y"}, doc_id=1),
+        ]
+        with pytest.raises(ValueError):
+            write_representations(reps, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["reps.csv"]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "reps.csv"
         path.write_text("nope,labels,v0\n1,a,0.5\n")

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import random_doc, random_model, tiny_config, zero_model
 from oracles import (
+    elbo_with_fixed_eps,
     exact_doc_log_likelihoods,
     finite_difference_grads,
-    importance_sampling_log_likelihood,
+    local_context,
     naive_doc_log_likelihoods,
+    next_word_log_prob,
+    prior_sampling_log_likelihoods,
 )
 from savae import model
 from savae.corpus import Document
@@ -17,16 +20,11 @@ from savae.model import (
     ModelConfig,
     batch_elbo_gradients,
     bow_counts,
-    doc_log_likelihood,
+    doc_log_likelihoods,
     elbo,
-    elbo_gradients,
-    elbo_with_fixed_eps,
     encode,
     expected_shapes,
     init_params,
-    local_context,
-    next_word_log_prob,
-    perplexity,
 )
 from savae.errors import ConfigError
 from savae.numerics import RngStream, sigmoid
@@ -164,14 +162,14 @@ class TestDocLogLikelihood:
     def test_uniform_decoder(self):
         cfg = tiny_config()
         params = zero_model(cfg)
-        ll = doc_log_likelihood(Document(ids=[0, 1, 2]), np.zeros(cfg.d), params, cfg)
+        ll = doc_log_likelihoods([0, 1, 2], np.zeros(cfg.d)[None], params, cfg)[0]
         assert ll == pytest.approx(-3 * np.log(cfg.m), rel=1e-14)
 
     def test_single_word_matches_empty_window_term(self):
         cfg = tiny_config()
         params = random_model(cfg)
         z = RngStream(2).normal((cfg.d,))
-        ll = doc_log_likelihood(Document(ids=[3]), z, params, cfg)
+        ll = doc_log_likelihoods([3], z[None], params, cfg)[0]
         h = local_context([], params)
         assert ll == pytest.approx(next_word_log_prob(3, z, h, params, cfg), rel=1e-12)
 
@@ -184,15 +182,15 @@ class TestDocLogLikelihood:
         for t in range(len(ids)):
             window = ids[max(0, t - cfg.k) : t]
             expected += next_word_log_prob(ids[t], z, local_context(window, params), params, cfg)
-        got = doc_log_likelihood(Document(ids=ids), z, params, cfg)
+        got = doc_log_likelihoods(ids, z[None], params, cfg)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_savae_is_sequence_sensitive(self):
         cfg = tiny_config("savae")
         params = random_model(cfg, seed=5)
         z = RngStream(4).normal((cfg.d,))
-        a = doc_log_likelihood(Document(ids=[0, 1, 2, 3]), z, params, cfg)
-        b = doc_log_likelihood(Document(ids=[3, 2, 1, 0]), z, params, cfg)
+        a = doc_log_likelihoods([0, 1, 2, 3], z[None], params, cfg)[0]
+        b = doc_log_likelihoods([3, 2, 1, 0], z[None], params, cfg)[0]
         assert a != b
 
     def test_nvdm_is_permutation_invariant_exactly(self):
@@ -201,8 +199,8 @@ class TestDocLogLikelihood:
         z = RngStream(5).normal((cfg.d,))
         ids = [0, 7, 3, 3, 1, 6, 2]
         perm = [3, 1, 6, 0, 2, 3, 7]
-        a = doc_log_likelihood(Document(ids=ids), z, params, cfg)
-        b = doc_log_likelihood(Document(ids=perm), z, params, cfg)
+        a = doc_log_likelihoods(ids, z[None], params, cfg)[0]
+        b = doc_log_likelihoods(perm, z[None], params, cfg)[0]
         assert a == b
 
 
@@ -248,7 +246,7 @@ class TestFactoredLikelihood:
         # log-likelihood near 0, where a relative tolerance stops making
         # sense (see the next test); m = 1 gives exactly 0 on both sides
         config, params, ids, Z = case
-        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        ours = doc_log_likelihoods(ids, Z, params, config)
         theirs = naive_doc_log_likelihoods(ids, Z, params, config)
         np.testing.assert_allclose(ours, theirs, rtol=1e-12)
 
@@ -261,7 +259,7 @@ class TestFactoredLikelihood:
         # by an ulp of the largest logit, so the error is bounded absolutely:
         # a few ulps of the a-priori logit magnitude per position.
         config, params, ids, Z = case
-        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        ours = doc_log_likelihoods(ids, Z, params, config)
         exact = exact_doc_log_likelihoods(ids, Z, params, config)
         d = config.d
         magnitude = np.abs(Z).max() * np.abs(params.X[:, :d]).sum(axis=1).max()
@@ -292,7 +290,7 @@ class TestFactoredLikelihood:
             return direct(logits)
 
         monkeypatch.setattr(model, "_logsumexp_rows", spy)
-        ours = model._doc_log_likelihood_multi(ids, Z, params, config)
+        ours = doc_log_likelihoods(ids, Z, params, config)
         assert direct_rows == [len(ids)]  # the pairs of sample 0, and only those
         assert np.all(np.isfinite(ours))
         theirs = naive_doc_log_likelihoods(ids, Z, params, config)
@@ -334,9 +332,7 @@ class TestElbo:
         params = random_model(cfg, seed=10)
         doc = Document(ids=[0, 4, 2, 1])
         est = elbo(doc, params, cfg, RngStream(2), samples=20)
-        ll = importance_sampling_log_likelihood(
-            doc, params, cfg, 10**4, np_rng, doc_log_likelihood
-        )
+        ll = prior_sampling_log_likelihoods(doc.ids, params, cfg, 10**4, np_rng)
         assert est.total <= ll + 0.05
 
 
@@ -358,6 +354,23 @@ class TestGradients:
     def test_nvdm_finite_differences(self):
         cfg = tiny_config("nvdm", m=8, d=3)
         self._check(cfg, [Document(ids=[2, 2, 7, 4])], seed=2)
+
+    @given(
+        st.sampled_from(["savae", "nvdm"]),
+        st.integers(1, 7),
+        st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=11), min_size=1, max_size=5),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_totals_match_oracle_forward(self, mode, k, batch, seed):
+        # windows must stop at document boundaries inside a packed batch
+        cfg = tiny_config(mode, m=5, d=2, k=k)
+        params = random_model(cfg, seed=seed)
+        docs = [Document(ids=ids) for ids in batch]
+        eps = RngStream(seed + 1).normal((len(docs), cfg.d))
+        estimates, _ = batch_elbo_gradients(docs, params, cfg, eps)
+        want = elbo_with_fixed_eps(docs, params, cfg, eps)
+        np.testing.assert_allclose([e.total for e in estimates], want, rtol=1e-12)
 
     def test_batch_matches_sum_of_singles(self):
         cfg = tiny_config("savae")
@@ -387,33 +400,13 @@ class TestGradients:
         cfg = tiny_config("savae", m=6, d=2, k=2)
         params = random_model(cfg, seed=11)
         doc = Document(ids=[1, 2, 1])
-        _, grads = elbo_gradients(doc, params, cfg, RngStream(0))
+        eps = RngStream(0).normal((1, cfg.d))
+        _, grads = batch_elbo_gradients([doc], params, cfg, eps)
         for w in (0, 3, 4, 5):
             assert np.all(grads["V_local"][w] == 0.0)
 
     def test_empty_document_rejected(self):
         cfg = tiny_config()
+        eps = np.zeros((1, cfg.d))
         with pytest.raises(EmptyDocument):
-            elbo_gradients(Document(ids=[]), random_model(cfg), cfg, RngStream(0))
-
-
-class TestPerplexity:
-    def test_uniform_decoder(self):
-        cfg = tiny_config("nvdm", m=6)
-        params = zero_model(cfg)
-        docs = [Document(ids=[0, 1]), Document(ids=[3, 4, 5])]
-        p = perplexity(docs, params, cfg, RngStream(0), samples=2)
-        assert p == pytest.approx(cfg.m, rel=1e-12)
-
-    def test_positive(self):
-        cfg = tiny_config()
-        params = random_model(cfg)
-        docs = [Document(ids=[0, 1, 2])]
-        assert perplexity(docs, params, cfg, RngStream(0), samples=2) > 0.0
-
-    def test_all_empty_rejected(self):
-        cfg = tiny_config()
-        from savae.errors import AllDocumentsEmpty
-
-        with pytest.raises(AllDocumentsEmpty):
-            perplexity([Document(ids=[])], random_model(cfg), cfg, RngStream(0))
+            batch_elbo_gradients([Document(ids=[])], random_model(cfg), cfg, eps)

@@ -4,16 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import mc_kl_standard_normal
-from savae.numerics import (
-    GaussianPosterior,
-    RngStream,
-    kl_standard_normal,
-    log_softmax,
-    relu,
-    sample_reparameterized,
-    sigmoid,
-)
+from oracles import log_softmax, mc_kl_standard_normal, sample_reparameterized
+from savae.numerics import GaussianPosterior, RngStream, kl_standard_normal, relu, sigmoid
 
 finite_vectors = hnp.arrays(
     np.float64,

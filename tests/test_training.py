@@ -160,6 +160,26 @@ class TestCheckpointIo:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
+    def test_trailing_byte(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "model.savm"
+        save_checkpoint(random_model(cfg), cfg, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CorruptCheckpoint, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "model.savm"
+        save_checkpoint(random_model(cfg), cfg, path)
+        before = path.read_bytes()
+        params = random_model(cfg, seed=1)
+        params.b_logvar = np.array(["not a number"], dtype=object)  # the last array
+        with pytest.raises(ValueError):
+            save_checkpoint(params, cfg, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.savm"]
+
     def test_version_mismatch(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "model.savm"

@@ -29,6 +29,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, inference, training
 from .errors import ConfigError, DegenerateLabels, ParseError, SavaeError
+from .fileio import atomic_write
 from .model import ModelConfig
 from .numerics import RngStream
 
@@ -124,11 +125,16 @@ def _out_dir(args):
     return out
 
 
+def _write_text(path, text):
+    with atomic_write(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_manifest(out_dir, cfg, extra):
     lines = [f"{k}={cfg.values[k]}" for k in sorted(cfg.values)]
     lines += [f"{k}={v}" for k, v in sorted(extra.items())]
     text = "\n".join(lines) + "\n"
-    (out_dir / "manifest.txt").write_text(text)
+    _write_text(out_dir / "manifest.txt", text)
     print(text, end="")
 
 
@@ -196,7 +202,7 @@ def cmd_train(args, cfg):
     params, log = training.train(split, model_config, train_config)
     ckpt = out / "model.savm"
     training.save_checkpoint(params, model_config, ckpt)
-    (out / "trainlog.csv").write_text(log.to_csv())
+    _write_text(out / "trainlog.csv", log.to_csv())
     _write_manifest(
         out,
         cfg,
@@ -227,7 +233,7 @@ def cmd_eval_retrieval(args, cfg):
     _, ilabels, ireps = inference.read_representations(args.index)
     curve = evaluation.retrieval_pr(qreps, qlabels, ireps, ilabels, args.relevance)
     path = out / "pr_curve.csv"
-    path.write_text(curve.to_csv())
+    _write_text(path, curve.to_csv())
     _write_manifest(
         out,
         cfg,
@@ -246,7 +252,7 @@ def cmd_eval_cluster(args, cfg):
         silhouette=evaluation.silhouette(reps, flat),
     )
     path = out / "cluster_metrics.txt"
-    path.write_text(metrics.report())
+    _write_text(path, metrics.report())
     print(metrics.report(), end="")
     _write_manifest(out, cfg, {"command": "eval-cluster", "output": str(path)})
 
@@ -265,7 +271,7 @@ def cmd_neighbors(args, cfg):
         neigh = evaluation.nearest_words(word, split.vocabulary, spaces[args.space], args.n)
         lines.append(f"{word}: {' '.join(neigh)}")
     text = "\n".join(lines) + "\n"
-    (out / f"neighbors_{args.space}.txt").write_text(text)
+    _write_text(out / f"neighbors_{args.space}.txt", text)
     print(text, end="")
     _write_manifest(out, cfg, {"command": "neighbors", "space": args.space})
 
@@ -301,7 +307,7 @@ def cmd_probe(args, cfg):
         evaluation.ProbeConfig(seed=cfg.get("seed", int)),
     )
     report = f"positive_class={classes[1]}\naccuracy={acc:.4f}\n"
-    (out / "probe_accuracy.txt").write_text(report)
+    _write_text(out / "probe_accuracy.txt", report)
     print(report, end="")
     _write_manifest(out, cfg, {"command": "probe", "accuracy": f"{acc:.4f}"})
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CorruptCheckpoint, EmptyCorpus, IoError, ParseError, UnsupportedVersion
+from .errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
 from .fileio import atomic_write
 from .numerics import RngStream
 
@@ -218,13 +218,14 @@ def save_corpus_file(split, path):
 
 
 class _Reader:
-    def __init__(self, fh):
+    def __init__(self, fh, path):
         self.fh = fh
+        self.path = path
 
     def read(self, n):
         data = self.fh.read(n)
         if len(data) != n:
-            raise CorruptCheckpoint("truncated corpus file")
+            raise CorruptFile(f"truncated corpus file {self.path}")
         return data
 
     def u32(self):
@@ -255,9 +256,9 @@ def load_corpus_file(path):
     if not path.exists():
         raise IoError(f"no such file: {path}")
     with path.open("rb") as fh:
-        r = _Reader(fh)
+        r = _Reader(fh, path)
         if r.read(4) != CORPUS_MAGIC:
-            raise CorruptCheckpoint(f"bad magic in corpus file {path}")
+            raise CorruptFile(f"bad magic in corpus file {path}")
         version = r.u32()
         if version != CORPUS_VERSION:
             raise UnsupportedVersion(f"corpus format version {version}")
@@ -271,7 +272,7 @@ def load_corpus_file(path):
         train = _read_docs(r)
         test = _read_docs(r)
         if fh.read(1):
-            raise CorruptCheckpoint(f"trailing bytes after the last document in {path}")
+            raise CorruptFile(f"trailing bytes after the last document in {path}")
     return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
 
 

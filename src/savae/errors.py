@@ -65,6 +65,12 @@ class CorruptCheckpoint(SavaeError):
     category = "CorruptCheckpoint"
 
 
+class CorruptFile(SavaeError):
+    """A data file (other than a checkpoint) that is not in its format."""
+
+    category = "CorruptFile"
+
+
 class DegenerateCentroids(SavaeError):
     category = "DegenerateCentroids"
 

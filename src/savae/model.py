@@ -10,11 +10,22 @@ decoder sees z alone.
 All gradients of the single-sample ELBO estimator are derived by hand and
 checked against central finite differences in the test suite.
 
-Evaluation scores a document under S posterior samples at once. In savae
-mode the decoder logits split into a sample part and a position part, so
-the S x l softmax normalisers come from one GEMM of their exponentials
-rather than from an (S, l, m) logit tensor; pairs whose factored sum
-underflows are recomputed directly (see ``doc_log_likelihoods``).
+Every decoder logit splits into a z part, shared by all positions of a
+document, and a position part from the local context (absent in nvdm
+mode). Training and evaluation both use the split:
+
+- Evaluation scores a document under S posterior samples at once. In
+  savae mode the S x l softmax normalisers come from one GEMM of
+  exponentials rather than from an (S, l, m) logit tensor; pairs whose
+  factored sum underflows are recomputed directly (see
+  ``doc_log_likelihoods``).
+- Training (``batch_elbo_gradients``) needs the z half's gradients only
+  through their per-document sums, a (B, m) array. The savae softmax runs
+  over fixed blocks of positions in one reused buffer, so no (T, m) array
+  of a batch's T tokens is formed.
+- In nvdm mode the position part is absent, so both go through word
+  counts (``_bag_of_words_log_likelihoods``) and are exactly invariant to the order
+  of a document's words.
 
 Training and evaluation share one window builder (``_local_contexts``) and
 one KL (``numerics.kl_standard_normal``).
@@ -41,6 +52,9 @@ __all__ = [
 
 SAVAE = "savae"
 NVDM = "nvdm"
+
+# rows of the savae training softmax held in one buffer at a time
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -239,29 +253,38 @@ def encode(doc, params, config):
 def _local_contexts(ids, lengths, params, config):
     """Local context vectors of concatenated documents of ``lengths`` tokens.
 
-    Returns H (T, d), the window ids (T, k) and their validity mask; column
-    ``k - o`` holds the word ``o`` positions back, valid while it lies in
-    the same document.
+    Returns H (T, d) and the (T, k) validity mask of the windows; column
+    ``k - o`` stands for the word ``o`` positions back, valid while it lies
+    in the same document.
     """
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     k = config.k
     doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
     pos = np.arange(len(ids))
-    win = np.zeros((len(ids), k), dtype=np.intp)
     mask = np.zeros((len(ids), k), dtype=bool)
-    for off in range(1, k + 1):
+    summed = np.zeros((len(ids), config.d))
+    for off in range(k, 0, -1):  # mask column by column, farthest word first
         valid = pos[off:] - off >= doc_start[off:]
         mask[off:, k - off] = valid
-        win[off:, k - off] = np.where(valid, ids[:-off], 0)
-    emb = params.V_local[win] * mask[:, :, None]
-    return sigmoid(emb.sum(axis=1) + params.c_local), win, mask
+        summed[off:] += params.V_local[ids[:-off]] * valid[:, None]
+    return sigmoid(summed + params.c_local), mask
 
 
 def _logsumexp_rows(logits):
     """Stable log-sum-exp of each row of a 2-D array."""
     shift = logits.max(axis=1, keepdims=True)
     return np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+
+
+def _bag_of_words_log_likelihoods(logits, counts, length):
+    """nvdm log-likelihoods of the rows of ``logits``, and their log-sum-exps.
+
+    Every position of a document shares the logits of its row, so
+    ``log p = counts . logits - length * lse(logits)``.
+    """
+    lse = _logsumexp_rows(logits)
+    return np.vecdot(logits, counts) - length * lse, lse
 
 
 def doc_log_likelihoods(ids, Z, params, config):
@@ -287,11 +310,10 @@ def doc_log_likelihoods(ids, Z, params, config):
     """
     targets = np.asarray(ids, dtype=np.intp)
     if config.mode == NVDM:
-        counts = bow_counts(ids, config.m)
         logits = Z @ params.X.T + params.b  # (S, m)
-        return logits @ counts - len(ids) * _logsumexp_rows(logits)
+        return _bag_of_words_log_likelihoods(logits, bow_counts(ids, config.m), len(ids))[0]
     d = config.d
-    H, _, _ = _local_contexts(ids, [len(ids)], params, config)
+    H, _ = _local_contexts(ids, [len(ids)], params, config)
     X_local = params.X[:, d:]
     z_part = Z @ params.X[:, :d].T
     z_part += params.b  # (S, m): S * m adds here, l * m on pos_part
@@ -335,6 +357,55 @@ def elbo(doc, params, config, rng, samples=1):
     )
 
 
+def _local_softmax_blocks(zl, H, X_local, targets, lengths):
+    """Savae decoder softmax and its logit gradients, ``_ROW_BLOCK`` rows at a time.
+
+    Position t of the concatenated documents has the logits
+    ``zl[doc(t)] + H[t] X_local^T``. A block of rows takes them from one
+    GEMM, ``[H, E] [X_local, zl^T]^T``, where E is the one-hot (rows, docs)
+    indicator of the documents in the block, into one reused buffer. The
+    buffer becomes the block's ``dlogits = onehot - P`` in place, and one
+    GEMM ``[H, E]^T dlogits`` gives both the block's share of
+    ``dX_local^T`` and the rows of G, the per-document sums of dlogits.
+    Returns the per-document log-likelihoods of ``targets``, G (shape of
+    ``zl``), ``dX_local`` and ``dH``; no (T, m) array is formed.
+    """
+    T, d = H.shape
+    pos_doc = np.repeat(np.arange(len(lengths)), lengths)
+    logp = np.empty(T)
+    G = np.zeros_like(zl)
+    dX_local_T = np.zeros((d, zl.shape[1]))
+    dH = np.empty_like(H)
+    buf = np.empty((min(_ROW_BLOCK, T), zl.shape[1]))
+    # decoder weights of a block: X_local^T, then the z parts of its documents
+    W = np.empty((d + min(len(zl), _ROW_BLOCK), zl.shape[1]))
+    W[:d] = X_local.T
+    for start in range(0, T, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, T)
+        rows = np.arange(stop - start)
+        first = pos_doc[start]
+        docs = pos_doc[start:stop] - first
+        n_docs = docs[-1] + 1
+        C = np.zeros((stop - start, d + n_docs))
+        C[:, :d] = H[start:stop]
+        C[rows, d + docs] = 1.0
+        W[d : d + n_docs] = zl[first : first + n_docs]
+        block = np.matmul(C, W[: d + n_docs], out=buf[: stop - start])
+        picked = block[rows, targets[start:stop]]
+        shift = block.max(axis=1)
+        block -= shift[:, None]
+        np.exp(block, out=block)
+        sums = block.sum(axis=1)
+        logp[start:stop] = picked - shift - np.log(sums)
+        block *= (-1.0 / sums)[:, None]
+        block[rows, targets[start:stop]] += 1.0
+        back = C.T @ block  # (d + n_docs, m)
+        dX_local_T += back[:d]
+        G[first : first + n_docs] += back[d:]
+        np.matmul(block, X_local, out=dH[start:stop])
+    return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G, dX_local_T.T, dH
+
+
 def batch_elbo_gradients(docs, params, config, eps):
     """Summed single-sample ELBO gradients over a batch of documents.
 
@@ -342,6 +413,13 @@ def batch_elbo_gradients(docs, params, config, eps):
     Returns (per-doc ElboEstimate list, grads dict summed over the batch).
     The maximization objective's gradient is returned directly (ascent
     direction).
+
+    Every logit is ``zl[doc(t)] + H[t] X_local^T`` with the (B, m) z part
+    ``zl = Z X_z^T + b``, so the z half of the decoder's gradients needs
+    only G, the per-document sums of the logit gradients: ``dX_z = G^T Z``,
+    ``dZ = G X_z`` and ``db = G.sum(0)``. In nvdm mode all positions of a
+    document share their logits and G comes from word counts; in savae
+    mode ``_local_softmax_blocks`` yields it block by block.
     """
     B = len(docs)
     if B == 0:
@@ -358,55 +436,39 @@ def batch_elbo_gradients(docs, params, config, eps):
     Z = mu + sd * eps  # (B, d)
 
     lengths = np.array([doc.length for doc in docs])
-    T = int(lengths.sum())
-    pos_doc = np.repeat(np.arange(B), lengths)
-    targets = np.concatenate([np.asarray(doc.ids, dtype=np.intp) for doc in docs])
-
+    X_z = params.X[:, :d]
+    zl = Z @ X_z.T + params.b  # (B, m)
+    grads = OrderedDict()
     if config.mode == SAVAE:
-        H, win, mask = _local_contexts(targets, lengths, params, config)  # (T, d)
-        C = np.concatenate([Z[pos_doc], H], axis=1)  # (T, 2d)
+        targets = np.concatenate([np.asarray(doc.ids, dtype=np.intp) for doc in docs])
+        H, mask = _local_contexts(targets, lengths, params, config)  # (T, d)
+        X_local = params.X[:, d:]
+        recon, G, dX_local, dH = _local_softmax_blocks(zl, H, X_local, targets, lengths)
+        grads["X"] = np.concatenate([G.T @ Z, dX_local], axis=1)
+        dS = dH * H * (1.0 - H)
+        grads["c_local"] = dS.sum(axis=0)
+        # the word at position u is in the windows of the next k positions
+        # of its document; R[u] sums their dS, and V_local's gradient sums R
+        # by word
+        R = np.zeros_like(dS)
+        for off in range(1, config.k + 1):
+            R[:-off] += dS[off:] * mask[off:, config.k - off, None]
+        dV = np.empty((m, d))
+        for j in range(d):
+            dV[:, j] = np.bincount(targets, weights=R[:, j], minlength=m)
+        grads["V_local"] = dV
     else:
-        C = Z[pos_doc]
+        recon, lse = _bag_of_words_log_likelihoods(zl, counts, lengths)
+        G = counts - lengths[:, None] * np.exp(zl - lse[:, None])
+        grads["X"] = G.T @ Z
+    grads["b"] = G.sum(axis=0)
+    dZ = G @ X_z
 
-    logits = C @ params.X.T + params.b  # (T, m)
-    shift = logits.max(axis=1, keepdims=True)
-    np.exp(logits - shift, out=logits)
-    sums = logits.sum(axis=1)
-    lse = np.log(sums) + shift[:, 0]
-    picked = (C * params.X[targets]).sum(axis=1) + params.b[targets]
-    logp = picked - lse
-
-    recon = np.zeros(B)
-    np.add.at(recon, pos_doc, logp)
     kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))  # (B,)
     estimates = [
         ElboEstimate(reconstruction=float(r), kl=float(k_), samples=1)
         for r, k_ in zip(recon, kl)
     ]
-
-    # backward; logits currently holds exp(logits - shift)
-    P = logits / sums[:, None]
-    dlogits = -P
-    dlogits[np.arange(T), targets] += 1.0
-
-    grads = OrderedDict()
-    grads["b"] = dlogits.sum(axis=0)
-    grads["X"] = dlogits.T @ C
-    dC = dlogits @ params.X  # (T, dec_dim)
-
-    if config.mode == SAVAE:
-        dZrep = dC[:, :d]
-        dH = dC[:, d:]
-        dS = dH * H * (1.0 - H)
-        grads["c_local"] = dS.sum(axis=0)
-        dV = np.zeros((m, d))
-        np.add.at(dV, win[mask], np.broadcast_to(dS[:, None, :], mask.shape + (d,))[mask])
-        grads["V_local"] = dV
-    else:
-        dZrep = dC
-
-    dZ = np.zeros((B, d))
-    np.add.at(dZ, pos_doc, dZrep)
 
     dmu = dZ - mu
     dlog_var = dZ * 0.5 * sd * eps - 0.5 * np.expm1(log_var)

@@ -193,15 +193,26 @@ def next_word_log_prob(word, z, h, params, config):
 
 
 def encoder_posterior(ids, params):
-    """q(z|doc) as ``mu``/``log_var`` from a plain ReLU MLP over word counts."""
+    """q(z|doc) as ``mu``/``log_var`` from a plain ReLU MLP over word counts.
+
+    ``inputs`` and ``pre`` hold each layer's input and pre-activation, for
+    the backward pass of ``dense_batch_elbo_gradients``.
+    """
     counts = np.zeros(params.X.shape[0])
     for w in ids:
         counts[w] += 1.0
     h = counts
+    inputs, pre = [], []
     for W, b in zip(params.enc_W, params.enc_b):
-        h = np.maximum(h @ W + b, 0.0)
+        inputs.append(h)
+        pre.append(h @ W + b)
+        h = np.maximum(pre[-1], 0.0)
+    inputs.append(h)
     return SimpleNamespace(
-        mu=h @ params.W_mu + params.b_mu, log_var=h @ params.W_logvar + params.b_logvar
+        mu=h @ params.W_mu + params.b_mu,
+        log_var=h @ params.W_logvar + params.b_logvar,
+        inputs=inputs,
+        pre=pre,
     )
 
 
@@ -222,6 +233,78 @@ def elbo_with_fixed_eps(docs, params, config, eps):
         kl = 0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
         totals[i] = ll - kl
     return totals
+
+
+def dense_batch_elbo_gradients(docs, params, config, eps):
+    """Single-sample ELBO terms and gradients through the dense (T, m) logits.
+
+    Every token of the batch gets its own row ``[z, h]`` of decoder input
+    and its own full row of logits; the backward pass runs the three
+    decoder GEMMs at full width on those T rows and scatters per token.
+    Returns per-document reconstruction and KL arrays and a name -> array
+    dict of the gradients of their difference, summed over the batch.
+    """
+    d, k = config.d, config.k
+    savae = config.mode == "savae"
+    qs = [encoder_posterior(doc.ids, params) for doc in docs]
+    Z = np.array([sample_reparameterized(q, e) for q, e in zip(qs, eps)])
+    doc_of, targets, C = [], [], []
+    for i, doc in enumerate(docs):
+        for t, w in enumerate(doc.ids):
+            doc_of.append(i)
+            targets.append(w)
+            h = local_context(doc.ids[max(0, t - k) : t], params) if savae else []
+            C.append(np.concatenate([Z[i], h]))
+    C = np.array(C)
+    rows = np.arange(len(targets))
+    logits = C @ params.X.T + params.b  # (T, m)
+    logp = log_softmax(logits)
+    recon = np.zeros(len(docs))
+    for t, i in enumerate(doc_of):
+        recon[i] += logp[t, targets[t]]
+    kl = np.array([0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0) for q in qs])
+
+    dlogits = -np.exp(logp)
+    dlogits[rows, targets] += 1.0
+    grads = {"X": dlogits.T @ C, "b": dlogits.sum(axis=0)}
+    dC = dlogits @ params.X
+    dZ = np.zeros_like(Z)
+    for t, i in enumerate(doc_of):
+        dZ[i] += dC[t, :d]
+    if savae:
+        H = C[:, d:]
+        dS = dC[:, d:] * H * (1.0 - H)
+        grads["c_local"] = dS.sum(axis=0)
+        dV = np.zeros_like(params.V_local)
+        t = 0
+        for doc in docs:
+            for pos in range(len(doc.ids)):
+                for u in doc.ids[max(0, pos - k) : pos]:
+                    dV[u] += dS[t]
+                t += 1
+        grads["V_local"] = dV
+
+    names = ["W_mu", "b_mu", "W_logvar", "b_logvar"]
+    for i in range(len(params.enc_W)):
+        names += [f"enc_W_{i}", f"enc_b_{i}"]
+    for name in names:
+        grads[name] = 0.0
+    for q, e, dz in zip(qs, eps, dZ):
+        sd = np.exp(0.5 * q.log_var)
+        dmu = dz - q.mu
+        dlog_var = dz * 0.5 * sd * e - 0.5 * (np.exp(q.log_var) - 1.0)
+        top = q.inputs[-1]
+        grads["W_mu"] = grads["W_mu"] + np.outer(top, dmu)
+        grads["b_mu"] = grads["b_mu"] + dmu
+        grads["W_logvar"] = grads["W_logvar"] + np.outer(top, dlog_var)
+        grads["b_logvar"] = grads["b_logvar"] + dlog_var
+        dh = params.W_mu @ dmu + params.W_logvar @ dlog_var
+        for i in range(len(params.enc_W) - 1, -1, -1):
+            da = dh * (q.pre[i] > 0)
+            grads[f"enc_W_{i}"] = grads[f"enc_W_{i}"] + np.outer(q.inputs[i], da)
+            grads[f"enc_b_{i}"] = grads[f"enc_b_{i}"] + da
+            dh = params.enc_W[i] @ da
+    return recon, kl, grads
 
 
 def prior_sampling_log_likelihoods(ids, params, config, n_samples, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from savae import training
 from savae.cli import main, read_config_file
 from savae.inference import DocRepresentation, write_representations
 
@@ -101,6 +102,25 @@ class TestPipeline:
         capsys.readouterr()
 
 
+    def test_failed_trainlog_write_keeps_previous_file(
+        self, tmp_path, corpus_dir, capsys, monkeypatch
+    ):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        args = ["--out", tmp_path / "t", "train", "--corpus", tmp_path / "pre" / "corpus.savc",
+                "--mode", "nvdm", "--d", 2, "--epochs", 2, "--batch-size", 4]
+        assert run(args) == 0
+        trainlog = tmp_path / "t" / "trainlog.csv"
+        before = trainlog.read_bytes()
+        # a lone surrogate fails to encode only once the file is open
+        monkeypatch.setattr(training.TrainLog, "to_csv", lambda self: "epoch\n\udc80\n")
+        with pytest.raises(UnicodeEncodeError):
+            run(args)
+        assert trainlog.read_bytes() == before
+        assert not [p.name for p in (tmp_path / "t").iterdir() if p.name.endswith(".tmp")]
+        capsys.readouterr()
+
+
 class TestProbeCommand:
     def test_probe_on_separable_reps(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -183,6 +203,17 @@ class TestCategorizedErrors:
         assert err.startswith("error: ConfigError:") and "modle.d" in err
         assert "model.d" in err and "train.lr" in err  # the valid keys are listed
         assert not (tmp_path / "t" / "model.savm").exists()
+
+    def test_corpus_file_with_trailing_byte(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        corpus = tmp_path / "pre" / "corpus.savc"
+        corpus.write_bytes(corpus.read_bytes() + b"\x00")
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptFile: trailing bytes") and str(corpus) in err
 
     def test_bad_config_cast(self, tmp_path, corpus_dir, capsys):
         run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,

@@ -15,7 +15,7 @@ from savae.corpus import (
     strip_newsgroup_metadata,
     tokenize,
 )
-from savae.errors import CorruptCheckpoint, EmptyCorpus, IoError, ParseError
+from savae.errors import CorruptFile, EmptyCorpus, IoError, ParseError
 
 
 class TestTokenize:
@@ -224,20 +224,20 @@ class TestCorpusFile:
         save_corpus_file(split, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 5])
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(CorruptFile):
             load_corpus_file(path)
 
     def test_trailing_byte(self, tmp_path):
         path = tmp_path / "corpus.savc"
         save_corpus_file(self._split(), path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CorruptCheckpoint, match="trailing bytes"):
+        with pytest.raises(CorruptFile, match="trailing bytes"):
             load_corpus_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "corpus.savc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(CorruptFile):
             load_corpus_file(path)
 
     def test_vocabulary_from_train_only(self):

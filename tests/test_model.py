@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_doc, random_model, tiny_config, zero_model
 from oracles import (
+    dense_batch_elbo_gradients,
     elbo_with_fixed_eps,
     exact_doc_log_likelihoods,
     finite_difference_grads,
@@ -336,6 +337,33 @@ class TestElbo:
         assert est.total <= ll + 0.05
 
 
+def _gradient_case(mode, m, k, batch, d=2, seed=0):
+    config = ModelConfig(mode=mode, m=m, d=d, k=k, encoder_layers=(4, 3))
+    eps = RngStream(seed + 1).normal((len(batch), d))
+    return config, random_model(config, seed=seed), [Document(ids=ids) for ids in batch], eps
+
+
+@st.composite
+def gradient_cases(draw):
+    """(config, params, docs, eps): 1-6 documents of 1-40 tokens, k up to 6
+    (so often longer than a document), and ids drawn either from the whole
+    vocabulary or from its first three words, which repeats words inside
+    windows."""
+    mode = draw(st.sampled_from(["savae", "nvdm"]))
+    m = draw(st.sampled_from([1, 2, 7, 50]))
+    words = draw(st.sampled_from([min(m, 3), m]))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    batch = [draw(st.lists(st.integers(0, words - 1), min_size=n, max_size=n)) for n in lengths]
+    return _gradient_case(
+        mode,
+        m,
+        k=draw(st.integers(1, 6)),
+        batch=batch,
+        d=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
 class TestGradients:
     def _check(self, cfg, docs, seed, tol=1e-4):
         params = random_model(cfg, seed=seed)
@@ -371,6 +399,48 @@ class TestGradients:
         estimates, _ = batch_elbo_gradients(docs, params, cfg, eps)
         want = elbo_with_fixed_eps(docs, params, cfg, eps)
         np.testing.assert_allclose([e.total for e in estimates], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, model._ROW_BLOCK])
+    @given(gradient_cases())
+    @example(_gradient_case("savae", m=1, k=3, batch=[[0], [0, 0]]))
+    @example(_gradient_case("savae", m=7, k=6, batch=[[2], [5, 5, 5, 1, 5], [0, 6]]))
+    @example(_gradient_case("nvdm", m=2, k=1, batch=[[1]]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_oracle(self, block, case):
+        # blocks of 1, 3 and 7 rows put document boundaries inside and at
+        # the edges of blocks. Entries that cancel to near zero carry the
+        # rounding of their largest terms, so each array is held to 1e-10
+        # of its largest entry as well as to rtol 1e-10.
+        config, params, docs, eps = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_ROW_BLOCK", block)
+            estimates, grads = batch_elbo_gradients(docs, params, config, eps)
+        recon, kl, want = dense_batch_elbo_gradients(docs, params, config, eps)
+        np.testing.assert_allclose([e.reconstruction for e in estimates], recon, rtol=1e-10)
+        # the oracle's exp(lv) - 1 carries an absolute error of an ulp of 1
+        np.testing.assert_allclose([e.kl for e in estimates], kl, rtol=1e-10, atol=1e-14)
+        assert list(grads) == list(expected_shapes(config))
+        for name, arr in grads.items():
+            ref = want[name]
+            assert arr.shape == ref.shape, name
+            np.testing.assert_allclose(
+                arr, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(), err_msg=name
+            )
+
+    def test_nvdm_is_permutation_invariant_exactly(self):
+        cfg = tiny_config("nvdm", m=8, d=3)
+        params = random_model(cfg, seed=12)
+        eps = RngStream(13).normal((2, cfg.d))
+        other = Document(ids=[5, 1, 1])
+        ids = [0, 7, 3, 3, 1, 6, 2, 7, 7, 4]
+        perm = [7, 3, 1, 7, 0, 2, 4, 3, 6, 7]
+        a_est, a = batch_elbo_gradients([Document(ids=ids), other], params, cfg, eps)
+        b_est, b = batch_elbo_gradients([Document(ids=perm), other], params, cfg, eps)
+        assert [(e.reconstruction, e.kl) for e in a_est] == [
+            (e.reconstruction, e.kl) for e in b_est
+        ]
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
     def test_batch_matches_sum_of_singles(self):
         cfg = tiny_config("savae")

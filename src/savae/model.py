@@ -46,14 +46,16 @@ __all__ = [
     "batch_elbo_gradients",
     "doc_log_likelihoods",
     "elbo",
+    "elbo_estimates",
     "encode",
+    "encode_docs",
     "init_params",
 ]
 
 SAVAE = "savae"
 NVDM = "nvdm"
 
-# rows of the savae training softmax held in one buffer at a time
+# rows per block: of the savae training softmax, and of the encoder's GEMMs
 _ROW_BLOCK = 256
 
 
@@ -64,7 +66,6 @@ class ModelConfig:
     d: int
     k: int = 5
     encoder_layers: tuple = (500, 500)
-    sample_count_train: int = 1
     sample_count_eval: int = 20
 
     def __post_init__(self):
@@ -80,8 +81,8 @@ class ModelConfig:
             problems.append("k must be >= 1 in savae mode")
         if not self.encoder_layers:
             problems.append("encoder_layers must be non-empty")
-        if self.sample_count_train < 1 or self.sample_count_eval < 1:
-            problems.append("sample counts must be >= 1")
+        if self.sample_count_eval < 1:
+            problems.append("sample_count_eval must be >= 1")
         if problems:
             raise ConfigError(problems)
 
@@ -97,19 +98,19 @@ class ModelConfig:
             "d": self.d,
             "k": self.k,
             "encoder_layers": list(self.encoder_layers),
-            "sample_count_train": self.sample_count_train,
             "sample_count_eval": self.sample_count_eval,
         }
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of to_dict; ignores ``sample_count_train``, which older
+        checkpoints carry (training always draws one sample)."""
         return cls(
             mode=data["mode"],
             m=data["m"],
             d=data["d"],
             k=data.get("k", 5),
             encoder_layers=tuple(data["encoder_layers"]),
-            sample_count_train=data.get("sample_count_train", 1),
             sample_count_eval=data.get("sample_count_eval", 20),
         )
 
@@ -241,12 +242,24 @@ def _encoder_forward(counts, params):
     return mu, log_var, acts, pre
 
 
+def encode_docs(docs, params, config):
+    """Posterior means and log-variances, each (N, d), of N documents, with
+    ``_ROW_BLOCK`` count rows per encoder GEMM. A row's last bits can change
+    with the other rows of its block."""
+    mu = np.empty((len(docs), config.d))
+    log_var = np.empty_like(mu)
+    for start in range(0, len(docs), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        counts = np.stack([bow_counts(doc.ids, config.m) for doc in docs[rows]])
+        mu[rows], log_var[rows], _, _ = _encoder_forward(counts, params)
+    return mu, log_var
+
+
 def encode(doc, params, config):
     """Posterior q(z|w) from the document's bag-of-words counts."""
     if doc.length == 0:
         raise EmptyDocument("cannot encode an empty document")
-    counts = bow_counts(doc.ids, config.m)[None, :]
-    mu, log_var, _, _ = _encoder_forward(counts, params)
+    mu, log_var = encode_docs([doc], params, config)
     return GaussianPosterior(mu=mu[0], log_var=log_var[0])
 
 
@@ -340,21 +353,26 @@ def doc_log_likelihoods(ids, Z, params, config):
     return (picked - lse).sum(axis=1)
 
 
+def elbo_estimates(docs, params, config, eps_list):
+    """Monte-Carlo ELBO of each document; ``eps_list[i]`` holds document i's
+    (S, d) standard-normal draws. The posteriors come from one ``encode_docs``."""
+    if any(doc.length == 0 for doc in docs):
+        raise EmptyDocument("cannot evaluate an empty document")
+    mu, log_var = encode_docs(docs, params, config)
+    kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))
+    estimates = []
+    for doc, eps, mu_i, log_var_i, kl_i in zip(docs, eps_list, mu, log_var, kl, strict=True):
+        Z = mu_i + np.exp(0.5 * log_var_i) * eps
+        ll = doc_log_likelihoods(doc.ids, Z, params, config)
+        estimates.append(ElboEstimate(float(ll.mean()), float(kl_i), samples=len(eps)))
+    return estimates
+
+
 def elbo(doc, params, config, rng, samples=1):
     """Monte-Carlo ELBO with ``samples`` reparameterized posterior draws."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if doc.length == 0:
-        raise EmptyDocument("cannot evaluate an empty document")
-    q = encode(doc, params, config)
-    eps = rng.normal((samples, config.d))
-    Z = q.mu + np.exp(0.5 * q.log_var) * eps
-    ll = doc_log_likelihoods(doc.ids, Z, params, config)
-    return ElboEstimate(
-        reconstruction=float(ll.mean()),
-        kl=float(kl_standard_normal(q)),
-        samples=samples,
-    )
+    return elbo_estimates([doc], params, config, [rng.normal((samples, config.d))])[0]
 
 
 def _local_softmax_blocks(zl, H, X_local, targets, lengths):

@@ -105,6 +105,7 @@ class EpochRecord:
     epoch: int
     elbo: float
     kl: float
+    nats_per_word: float
     perplexity: float
     seconds: float
 
@@ -114,10 +115,11 @@ class TrainLog:
     records: list = field(default_factory=list)
 
     def to_csv(self):
-        lines = ["epoch,elbo,kl,perplexity,seconds"]
+        lines = ["epoch,elbo,kl,nats_per_word,perplexity,seconds"]
         for r in self.records:
             lines.append(
-                f"{r.epoch},{r.elbo:.6f},{r.kl:.6f},{r.perplexity:.6f},{r.seconds:.3f}"
+                f"{r.epoch},{r.elbo:.6f},{r.kl:.6f},{r.nats_per_word:.6f},"
+                f"{r.perplexity:.6f},{r.seconds:.3f}"
             )
         return "\n".join(lines) + "\n"
 
@@ -164,11 +166,16 @@ def train(corpus, model_config, train_config, progress=None):
                 total_elbo += est.total
                 total_kl += est.kl
             total_words += sum(doc.length for doc in batch)
+        nats_per_word = -total_elbo / total_words
+        # exp overflows to inf past ~709 nats per word; nats_per_word stays finite
+        with np.errstate(over="ignore"):
+            perplexity = float(np.exp(nats_per_word))
         record = EpochRecord(
             epoch=epoch,
             elbo=total_elbo / n,
             kl=total_kl / n,
-            perplexity=float(np.exp(-total_elbo / total_words)),
+            nats_per_word=nats_per_word,
+            perplexity=perplexity,
             seconds=time.perf_counter() - started,
         )
         log.records.append(record)

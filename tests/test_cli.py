@@ -56,7 +56,7 @@ class TestPipeline:
         ckpt = out / "train" / "model.savm"
         assert ckpt.exists()
         log = (out / "train" / "trainlog.csv").read_text().strip().split("\n")
-        assert log[0] == "epoch,elbo,kl,perplexity,seconds" and len(log) == 6
+        assert log[0] == "epoch,elbo,kl,nats_per_word,perplexity,seconds" and len(log) == 6
 
         for split in ("train", "test"):
             assert run(

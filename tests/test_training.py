@@ -1,10 +1,16 @@
+import dataclasses
+import json
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_model, tiny_config
 from savae.corpus import CorpusSplit, Document, Vocabulary
 from savae.errors import ConfigError, CorruptCheckpoint, EmptyCorpus, NonFiniteGradient, UnsupportedVersion
-from savae.model import ModelConfig
+from savae import model as model_mod
+from savae.model import ElboEstimate, ModelConfig
 from savae.numerics import RngStream
 from savae.training import (
     AdamState,
@@ -135,9 +141,27 @@ class TestTrain:
         mcfg = ModelConfig(mode="nvdm", m=6, d=2, encoder_layers=(3,))
         _, log = train(split, mcfg, TrainConfig(learning_rate=0.001, epochs=2, batch_size=4))
         lines = log.to_csv().strip().split("\n")
-        assert lines[0] == "epoch,elbo,kl,perplexity,seconds"
+        assert lines[0] == "epoch,elbo,kl,nats_per_word,perplexity,seconds"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
+
+    def test_per_word_bound_past_exp_overflow(self, monkeypatch):
+        split = synthetic_two_topic_corpus(n_docs=12, m=6)
+        mcfg = ModelConfig(mode="nvdm", m=6, d=2, encoder_layers=(3,))
+        real = model_mod.batch_elbo_gradients
+
+        def huge_loss(docs, params, config, eps):
+            estimates, grads = real(docs, params, config, eps)
+            return [ElboEstimate(-800.0 * doc.length, 0.0, 1) for doc in docs], grads
+
+        monkeypatch.setattr(model_mod, "batch_elbo_gradients", huge_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, log = train(split, mcfg, TrainConfig(learning_rate=0.001, epochs=1, batch_size=4))
+        record = log.records[0]
+        assert record.nats_per_word == pytest.approx(800.0, rel=1e-12)
+        assert record.perplexity == np.inf
+        assert log.to_csv().split("\n")[1].split(",")[3] == "800.000000"
 
 
 class TestCheckpointIo:
@@ -148,6 +172,23 @@ class TestCheckpointIo:
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
+        for name, arr in params.named_arrays().items():
+            np.testing.assert_array_equal(arr, loaded.named_arrays()[name])
+
+    def test_config_with_sample_count_train_loads(self, tmp_path):
+        cfg = tiny_config("nvdm", m=5, d=2, layers=(3,))
+        params = random_model(cfg, seed=4)
+        path = tmp_path / "model.savm"
+        save_checkpoint(params, cfg, path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        # the config block as older versions wrote it
+        old_cfg = json.loads(data[12 : 12 + cfg_len])
+        old_cfg = {**old_cfg, "sample_count_train": 1, "sample_count_eval": 7}
+        block = json.dumps(old_cfg).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(block)) + block + data[12 + cfg_len :])
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == dataclasses.replace(cfg, sample_count_eval=7)
         for name, arr in params.named_arrays().items():
             np.testing.assert_array_equal(arr, loaded.named_arrays()[name])
 

@@ -24,11 +24,9 @@ labels = [min(r.labels) for r in reps]
 
 print("pairwise cosine distances (rows ordered by topic):")
 order = np.argsort(labels)
-for i in order:
-    row = " ".join(
-        f"{evaluation.cosine_distance(vectors[i], vectors[j]):4.2f}" for j in order
-    )
-    print(f"  {labels[i]:>10s}  {row}")
+dists = evaluation.cosine_distances(vectors[order], vectors[order])
+for i, row in zip(order, dists):
+    print(f"  {labels[i]:>10s}  {' '.join(f'{d:4.2f}' for d in row)}")
 
 # ---------------------------------------------------------------------
 # Retrieval: every document queries the rest of the corpus; relevance

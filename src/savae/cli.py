@@ -28,7 +28,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, inference, training
-from .errors import ConfigError, DegenerateLabels, ParseError, SavaeError
+from .errors import ConfigError, DegenerateLabels, IoError, ParseError, SavaeError
 from .fileio import atomic_write
 from .model import ModelConfig
 from .numerics import RngStream
@@ -51,6 +51,8 @@ DEFAULTS = {
 
 def read_config_file(path):
     """Parse a line-based key=value config file with # comments."""
+    if not Path(path).is_file():
+        raise IoError(f"no such config file: {path}")
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -121,7 +123,10 @@ class RunConfig:
 
 def _out_dir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoError(f"cannot create output directory {out}: {err.strerror}") from None
     return out
 
 
@@ -144,6 +149,13 @@ def cmd_preprocess(args, cfg):
     cfg.override("seed", args.seed)
     vocab_size = cfg.get("corpus.vocab_size", int)
     seed = cfg.get("seed", int)
+    problems = []
+    if vocab_size < 1:
+        problems.append(f"corpus.vocab_size must be >= 1, got {vocab_size}")
+    if not 0 <= args.test_fraction < 1:
+        problems.append(f"--test-fraction must lie in [0, 1), got {args.test_fraction}")
+    if problems:
+        raise ConfigError(problems)
     train_raw = corpus_mod.load_corpus(args.input, args.format)
     if args.test_input:
         test_raw = corpus_mod.load_corpus(args.test_input, args.format)
@@ -218,19 +230,29 @@ def cmd_represent(args, cfg):
     reps = inference.represent_batch(docs, params, model_config)
     path = out / f"representations_{args.split}.csv"
     inference.write_representations(reps, path)
-    skipped = sum(r.empty for r in reps)
     _write_manifest(
         out,
         cfg,
         {"command": "represent", "split": args.split, "output": str(path),
-         "documents": len(reps), "empty_skipped": skipped},
+         "documents": len(docs), "empty_skipped": len(docs) - len(reps)},
     )
+
+
+def _read_matching_representations(first, second):
+    """Both representation CSVs; their vectors must have the same width."""
+    a, b = inference.read_representations(first), inference.read_representations(second)
+    if a[2].shape[1] != b[2].shape[1]:
+        raise ParseError(
+            f"{second} has {b[2].shape[1]} vector columns, {first} has {a[2].shape[1]}", 1
+        )
+    return a, b
 
 
 def cmd_eval_retrieval(args, cfg):
     out = _out_dir(args)
-    _, qlabels, qreps = inference.read_representations(args.queries)
-    _, ilabels, ireps = inference.read_representations(args.index)
+    (_, qlabels, qreps), (_, ilabels, ireps) = _read_matching_representations(
+        args.queries, args.index
+    )
     curve = evaluation.retrieval_pr(qreps, qlabels, ireps, ilabels, args.relevance)
     path = out / "pr_curve.csv"
     _write_text(path, curve.to_csv())
@@ -286,8 +308,9 @@ def _first_labels(label_sets, path):
 
 def cmd_probe(args, cfg):
     out = _out_dir(args)
-    _, tr_labels, tr_reps = inference.read_representations(args.train)
-    _, te_labels, te_reps = inference.read_representations(args.test)
+    (_, tr_labels, tr_reps), (_, te_labels, te_reps) = _read_matching_representations(
+        args.train, args.test
+    )
     tr_first = _first_labels(tr_labels, args.train)
     te_first = _first_labels(te_labels, args.test)
     classes = sorted(set(tr_first))
@@ -302,10 +325,7 @@ def cmd_probe(args, cfg):
             )
     ytr = np.array([to_bin[label] for label in tr_first])
     yte = np.array([to_bin[label] for label in te_first])
-    acc = evaluation.linear_probe(
-        tr_reps, ytr, te_reps, yte,
-        evaluation.ProbeConfig(seed=cfg.get("seed", int)),
-    )
+    acc = evaluation.linear_probe(tr_reps, ytr, te_reps, yte, seed=cfg.get("seed", int))
     report = f"positive_class={classes[1]}\naccuracy={acc:.4f}\n"
     _write_text(out / "probe_accuracy.txt", report)
     print(report, end="")

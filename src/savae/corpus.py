@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
-from .fileio import atomic_write
+from .fileio import Reader, atomic_write
 from .numerics import RngStream
 
 __all__ = [
@@ -47,11 +47,10 @@ class Vocabulary:
 
     tokens: list
     counts: list
-    index: dict = field(default=None, repr=False)
+    index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
         if len(self.counts) != len(self.tokens):
@@ -144,7 +143,9 @@ def load_corpus(path, format):
 
     Formats: ``newsgroup-dirs`` (one file per document, label from the
     directory name, metadata stripped), ``labeled-lines`` (one document
-    per line as "label[,label...]\\ttext"), ``unlabeled-lines``.
+    per line as "label[,label...]\\ttext"), ``unlabeled-lines``. Invalid
+    UTF-8 is replaced, and a label may not contain "|", which joins labels
+    in the representation CSV.
     """
     path = Path(path)
     if not path.exists():
@@ -154,6 +155,8 @@ def load_corpus(path, format):
             raise IoError(f"not a directory: {path}")
         out = []
         for group_dir in sorted(p for p in path.iterdir() if p.is_dir()):
+            if "|" in group_dir.name:
+                raise ParseError(f"label directory {group_dir} contains '|'")
             for doc_file in sorted(p for p in group_dir.iterdir() if p.is_file()):
                 raw = doc_file.read_text(encoding="utf-8", errors="replace")
                 out.append((strip_newsgroup_metadata(raw), {group_dir.name}))
@@ -162,7 +165,7 @@ def load_corpus(path, format):
         if not path.is_file():
             raise IoError(f"not a file: {path}")
         out = []
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", errors="replace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -176,6 +179,8 @@ def load_corpus(path, format):
                 labels = {l.strip() for l in label_part.split(",") if l.strip()}
                 if not labels:
                     raise ParseError("empty label field", lineno)
+                if "|" in label_part:
+                    raise ParseError(f"label field {label_part!r} contains '|'", lineno)
                 out.append((text, labels))
         return out
     raise ValueError(f"unknown corpus format: {format}")
@@ -217,36 +222,11 @@ def save_corpus_file(split, path):
         _write_docs(fh, split.test)
 
 
-class _Reader:
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
-
-    def read(self, n):
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise CorruptFile(f"truncated corpus file {self.path}")
-        return data
-
-    def u32(self):
-        return struct.unpack("<I", self.read(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.read(8))[0]
-
-    def i64(self):
-        return struct.unpack("<q", self.read(8))[0]
-
-    def string(self):
-        return self.read(self.u32()).decode("utf-8")
-
-
 def _read_docs(r):
     docs = []
     for _ in range(r.u32()):
         labels = {r.string() for _ in range(r.u32())}
-        length = r.u32()
-        ids = list(struct.unpack(f"<{length}I", r.read(4 * length)))
+        ids = list(r.u32s(r.u32()))
         docs.append(Document(ids=ids, labels=labels))
     return docs
 
@@ -256,7 +236,7 @@ def load_corpus_file(path):
     if not path.exists():
         raise IoError(f"no such file: {path}")
     with path.open("rb") as fh:
-        r = _Reader(fh, path)
+        r = Reader(fh, CorruptFile(f"truncated corpus file {path}"))
         if r.read(4) != CORPUS_MAGIC:
             raise CorruptFile(f"bad magic in corpus file {path}")
         version = r.u32()

@@ -6,7 +6,7 @@ All distances are cosine distances; clusters are given by gold labels, no
 clustering algorithm is run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +17,13 @@ from .errors import (
     UnknownToken,
 )
 from .numerics import RngStream, sigmoid
-from .training import TrainConfig, AdamState, adam_step
+from .training import AdamState, adam_step
 
 __all__ = [
     "ClusterMetrics",
     "DEFAULT_RECALL_GRID",
     "PrCurve",
-    "ProbeConfig",
-    "cosine_distance",
+    "cosine_distances",
     "davies_bouldin",
     "dunn",
     "embedding_spaces",
@@ -54,19 +53,13 @@ DEFAULT_RECALL_GRID = (
 )
 
 
-def cosine_distance(a, b):
-    """1 - cos(a, b); 1 if either vector has zero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - float(a @ b) / (na * nb)
+# the linear probe's Adam rate and minibatch size
+PROBE_LEARNING_RATE = 1e-3
+PROBE_BATCH_SIZE = 256
 
 
-def _cosine_distance_rows(A, B):
-    """Pairwise cosine distances between rows; zero-norm rows give 1."""
+def cosine_distances(A, B):
+    """1 - cos between each row of A and each row of B; zero-norm rows give 1."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     na = np.linalg.norm(A, axis=1)
@@ -111,15 +104,8 @@ class ClusterMetrics:
         )
 
 
-def retrieval_pr(
-    query_reps,
-    query_labels,
-    index_reps,
-    index_labels,
-    relevance="exact",
-    grid=DEFAULT_RECALL_GRID,
-):
-    """Average per-query precision at fixed recall levels.
+def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="exact"):
+    """Average per-query precision at the recall levels of DEFAULT_RECALL_GRID.
 
     Index documents are ranked per query by descending cosine similarity
     (ties by index order). In ``exact`` mode a ranked document counts as a
@@ -139,10 +125,8 @@ def retrieval_pr(
     index_reps = np.asarray(index_reps, dtype=np.float64)
     if len(query_reps) == 0 or len(index_reps) == 0:
         raise ValueError("queries and index must be non-empty")
-    grid = tuple(grid)
-    if any(not (0 < g <= 1) for g in grid) or list(grid) != sorted(set(grid)):
-        raise ValueError("recall grid must be strictly ascending in (0, 1]")
-    dists = _cosine_distance_rows(query_reps, index_reps)
+    grid = DEFAULT_RECALL_GRID
+    dists = cosine_distances(query_reps, index_reps)
     n_index = len(index_reps)
     index_sets = [frozenset(ls) for ls in index_labels]
     acc = np.zeros(len(grid))
@@ -203,7 +187,7 @@ def _dispersions(reps, order, members, centroids):
     """Mean cosine distance of each cluster's members to its centroid."""
     return np.array(
         [
-            _cosine_distance_rows(reps[members[lab]], centroids[i : i + 1]).mean()
+            cosine_distances(reps[members[lab]], centroids[i : i + 1]).mean()
             for i, lab in enumerate(order)
         ]
     )
@@ -213,7 +197,7 @@ def davies_bouldin(reps, labels):
     """(mean, std over clusters) of the Davies-Bouldin per-cluster scores."""
     reps, order, members, centroids = _clusters(reps, labels)
     pi = _dispersions(reps, order, members, centroids)
-    cd = _cosine_distance_rows(centroids, centroids)
+    cd = cosine_distances(centroids, centroids)
     n = len(order)
     off = ~np.eye(n, dtype=bool)
     if np.any(cd[off] == 0.0):
@@ -230,7 +214,7 @@ def dunn(reps, labels):
     pi = _dispersions(reps, order, members, centroids)
     if pi.max() == 0.0:
         raise DegenerateClusters("all clusters have zero dispersion")
-    cd = _cosine_distance_rows(centroids, centroids)
+    cd = cosine_distances(centroids, centroids)
     n = len(order)
     min_sep = min(cd[i, j] for i in range(n) for j in range(i + 1, n))
     return float(min_sep / pi.max())
@@ -244,7 +228,7 @@ def silhouette(reps, labels):
     score 0. Per-cluster scores are the means over members.
     """
     reps, order, members, centroids = _clusters(reps, labels)
-    d = _cosine_distance_rows(reps, centroids)  # (n_points, n_clusters)
+    d = cosine_distances(reps, centroids)  # (n_points, n_clusters)
     cluster_scores = []
     for i, lab in enumerate(order):
         idx = members[lab]
@@ -274,7 +258,7 @@ def nearest_words(query, vocab, embeddings, n=5):
     if query not in vocab:
         raise UnknownToken(f"token not in vocabulary: {query!r}")
     qid = vocab.index[query]
-    dists = _cosine_distance_rows(embeddings[qid : qid + 1], embeddings)[0]
+    dists = cosine_distances(embeddings[qid : qid + 1], embeddings)[0]
     order = np.argsort(dists, kind="stable")
     out = []
     for j in order:
@@ -286,21 +270,11 @@ def nearest_words(query, vocab, embeddings, n=5):
     return out
 
 
-@dataclass
-class ProbeConfig:
-    learning_rate: float = 0.001
-    epochs: int = 100
-    batch_size: int = 256
-    seed: int = 0
-
-
-def linear_probe(train_reps, train_labels, test_reps, test_labels, config=None):
+def linear_probe(train_reps, train_labels, test_reps, test_labels, epochs=100, seed=0):
     """Logistic-regression probe on frozen representations; test accuracy.
 
     Trained by Adam on the mean log-likelihood of binary labels.
     """
-    if config is None:
-        config = ProbeConfig()
     X = np.asarray(train_reps, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.float64)
     Xt = np.asarray(test_reps, dtype=np.float64)
@@ -311,19 +285,13 @@ def linear_probe(train_reps, train_labels, test_reps, test_labels, config=None):
     if len(classes) < 2:
         raise DegenerateLabels("training set contains a single class")
     params = {"w": np.zeros(X.shape[1]), "b": np.zeros(1)}
-    state = AdamState.for_params(params)
-    adam_cfg = TrainConfig(
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-    )
-    rng = RngStream(config.seed)
+    state = AdamState(params)
+    rng = RngStream(seed)
     n = len(X)
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         perm = rng.substream(epoch).permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        for start in range(0, n, PROBE_BATCH_SIZE):
+            idx = perm[start : start + PROBE_BATCH_SIZE]
             xb, yb = X[idx], y[idx]
             p = sigmoid(xb @ params["w"] + params["b"][0])
             resid = yb - p
@@ -331,6 +299,6 @@ def linear_probe(train_reps, train_labels, test_reps, test_labels, config=None):
                 "w": xb.T @ resid / len(idx),
                 "b": np.array([resid.mean()]),
             }
-            adam_step(params, grads, state, adam_cfg)
+            adam_step(params, grads, state, PROBE_LEARNING_RATE)
     pred = sigmoid(Xt @ params["w"] + params["b"][0]) >= 0.5
     return float(np.mean(pred == (yt >= 0.5)))

@@ -1,6 +1,7 @@
-"""Atomic file writes shared by the checkpoint, corpus and CSV writers."""
+"""Atomic file writes and the little-endian reader shared by the binary files."""
 
 import os
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,3 +23,32 @@ def atomic_write(path, mode="wb", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class Reader:
+    """Little-endian fields from a binary file; a short read raises ``truncated``."""
+
+    def __init__(self, fh, truncated):
+        self.fh = fh
+        self.truncated = truncated
+
+    def read(self, n):
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise self.truncated
+        return data
+
+    def u32(self):
+        return struct.unpack("<I", self.read(4))[0]
+
+    def u32s(self, n):
+        return struct.unpack(f"<{n}I", self.read(4 * n))
+
+    def u64(self):
+        return struct.unpack("<Q", self.read(8))[0]
+
+    def i64(self):
+        return struct.unpack("<q", self.read(8))[0]
+
+    def string(self):
+        return self.read(self.u32()).decode("utf-8")

@@ -16,7 +16,7 @@ from .errors import AllDocumentsEmpty, IoError, ParseError
 from .fileio import atomic_write
 # elbo and encode are unused here; the benchmark's tracer wraps them by these names
 from .model import elbo, elbo_estimates, encode, encode_docs  # noqa: F401
-from .numerics import RngStream
+from .numerics import RngStream, perplexity
 
 __all__ = [
     "DocRepresentation",
@@ -32,21 +32,16 @@ class DocRepresentation:
     vector: np.ndarray
     labels: set
     doc_id: int = 0
-    empty: bool = False
 
 
 def represent_batch(docs, params, config):
-    """Posterior means, no sampling; empty documents become flagged zero placeholders."""
-    mu, _ = encode_docs([doc for doc in docs if not doc.is_empty], params, config)
-    rows = iter(mu)
+    """Posterior means of the non-empty documents, no sampling; each keeps
+    its index in ``docs`` as ``doc_id``, and empty documents get no entry."""
+    kept = [i for i, doc in enumerate(docs) if not doc.is_empty]
+    mu, _ = encode_docs([docs[i] for i in kept], params, config)
     return [
-        DocRepresentation(
-            vector=np.zeros(config.d) if doc.is_empty else next(rows),
-            labels=set(doc.labels),
-            doc_id=i,
-            empty=doc.is_empty,
-        )
-        for i, doc in enumerate(docs)
+        DocRepresentation(vector=row, labels=set(docs[i].labels), doc_id=i)
+        for i, row in zip(kept, mu)
     ]
 
 
@@ -65,15 +60,11 @@ def evaluate_bound(docs, params, config, samples=None, seed=0):
     estimates = elbo_estimates([docs[i] for i in kept], params, config, eps_list)
     totals = np.array([est.total for est in estimates])
     words = sum(docs[i].length for i in kept)
-    return float(totals.mean()), float(np.exp(-totals.sum() / words))
+    return float(totals.mean()), perplexity(-totals.sum() / words)
 
 
 def write_representations(reps, path):
-    """CSV contract: header id,labels,v0..v{d-1}; labels pipe-separated.
-
-    Flagged-empty representations are skipped.
-    """
-    reps = [r for r in reps if not r.empty]
+    """CSV contract: header id,labels,v0..v{d-1}; labels pipe-separated."""
     if not reps:
         raise AllDocumentsEmpty("no representations to write")
     d = len(reps[0].vector)
@@ -109,4 +100,6 @@ def read_representations(path):
             except ValueError as err:
                 raise ParseError(f"non-numeric field in {path}: {err}", lineno) from None
             labels.append({l for l in row[1].split("|") if l})
+    if not rows:
+        raise AllDocumentsEmpty(f"no representations in {path}")
     return ids, labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), d)

@@ -182,7 +182,6 @@ class ModelParams:
 class ElboEstimate:
     reconstruction: float
     kl: float
-    samples: int
 
     @property
     def total(self):
@@ -364,7 +363,7 @@ def elbo_estimates(docs, params, config, eps_list):
     for doc, eps, mu_i, log_var_i, kl_i in zip(docs, eps_list, mu, log_var, kl, strict=True):
         Z = mu_i + np.exp(0.5 * log_var_i) * eps
         ll = doc_log_likelihoods(doc.ids, Z, params, config)
-        estimates.append(ElboEstimate(float(ll.mean()), float(kl_i), samples=len(eps)))
+        estimates.append(ElboEstimate(float(ll.mean()), float(kl_i)))
     return estimates
 
 
@@ -483,10 +482,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     dZ = G @ X_z
 
     kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))  # (B,)
-    estimates = [
-        ElboEstimate(reconstruction=float(r), kl=float(k_), samples=1)
-        for r, k_ in zip(recon, kl)
-    ]
+    estimates = [ElboEstimate(float(r), float(k_)) for r, k_ in zip(recon, kl)]
 
     dmu = dZ - mu
     dlog_var = dZ * 0.5 * sd * eps - 0.5 * np.expm1(log_var)

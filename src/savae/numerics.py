@@ -1,5 +1,5 @@
 """Dense numeric kernel: activations, diagonal Gaussian posteriors, their
-analytic KL against a standard normal, and a portable seeded RNG.
+analytic KL against a standard normal, perplexity, and a portable seeded RNG.
 
 All arrays are 64-bit floats. The RNG is built on the Philox 4x64
 counter-based generator so that a given seed reproduces the same stream
@@ -15,6 +15,7 @@ __all__ = [
     "GaussianPosterior",
     "RngStream",
     "kl_standard_normal",
+    "perplexity",
     "relu",
     "sigmoid",
 ]
@@ -119,3 +120,9 @@ def kl_standard_normal(q):
     ``exp(lv) - lv - 1`` cancels to a few ulps below zero near lv = 0.
     """
     return 0.5 * np.sum(q.mu**2 + np.expm1(q.log_var) - q.log_var, axis=-1)
+
+
+def perplexity(nats_per_word):
+    """exp(nats per word); ``inf``, without a warning, past ~709 nats per word."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(nats_per_word))

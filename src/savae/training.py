@@ -22,9 +22,9 @@ from .errors import (
     NonFiniteGradient,
     UnsupportedVersion,
 )
-from .fileio import atomic_write
+from .fileio import Reader, atomic_write
 from .model import ModelConfig, ModelParams, expected_shapes
-from .numerics import RngStream
+from .numerics import RngStream, perplexity
 
 __all__ = [
     "AdamState",
@@ -40,6 +40,11 @@ __all__ = [
 CHECKPOINT_MAGIC = b"SAVM"
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -47,9 +52,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     checkpoint_every: int = 100
     checkpoint_dir: str = None
 
@@ -61,8 +63,6 @@ class TrainConfig:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            problems.append("beta1/beta2 must lie in [0, 1)")
         if problems:
             raise ConfigError(problems)
 
@@ -70,34 +70,30 @@ class TrainConfig:
 class AdamState:
     """First/second moment estimates per parameter plus the step counter."""
 
-    def __init__(self, shapes):
-        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    def __init__(self, named_arrays):
+        self.m = {name: np.zeros(arr.shape) for name, arr in named_arrays.items()}
+        self.v = {name: np.zeros(arr.shape) for name, arr in named_arrays.items()}
         self.t = 0
 
-    @classmethod
-    def for_params(cls, named_arrays):
-        return cls({name: arr.shape for name, arr in named_arrays.items()})
 
-
-def adam_step(named_params, grads, state, config):
+def adam_step(named_params, grads, state, learning_rate):
     """One Adam ascent step, in place on the parameter arrays."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(name)
     state.t += 1
     t = state.t
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, theta in named_params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        theta += config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps_adam)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        theta += learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -136,7 +132,7 @@ def train(corpus, model_config, train_config, progress=None):
     root = RngStream(train_config.seed)
     params = model_mod.init_params(model_config, root.substream(0))
     named = params.named_arrays()
-    state = AdamState.for_params(named)
+    state = AdamState(named)
     log = TrainLog()
     n = len(docs)
     bs = train_config.batch_size
@@ -157,7 +153,7 @@ def train(corpus, model_config, train_config, progress=None):
                 )
                 for g in grads.values():
                     g /= len(batch)
-                adam_step(named, grads, state, train_config)
+                adam_step(named, grads, state, train_config.learning_rate)
             except NonFiniteGradient as err:
                 raise NonFiniteGradient(
                     err.param_name, context=f"epoch {epoch}, batch {bi}"
@@ -167,15 +163,12 @@ def train(corpus, model_config, train_config, progress=None):
                 total_kl += est.kl
             total_words += sum(doc.length for doc in batch)
         nats_per_word = -total_elbo / total_words
-        # exp overflows to inf past ~709 nats per word; nats_per_word stays finite
-        with np.errstate(over="ignore"):
-            perplexity = float(np.exp(nats_per_word))
         record = EpochRecord(
             epoch=epoch,
             elbo=total_elbo / n,
             kl=total_kl / n,
             nats_per_word=nats_per_word,
-            perplexity=perplexity,
+            perplexity=perplexity(nats_per_word),
             seconds=time.perf_counter() - started,
         )
         log.records.append(record)
@@ -209,52 +202,34 @@ def save_checkpoint(params, config, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptCheckpoint("truncated checkpoint file")
-    return data
-
-
-def load_checkpoint(path, expect_mode=None):
-    """Load (params, config); validates shapes against the stored config.
-
-    ``expect_mode`` lets callers assert the checkpoint holds the model
-    variant they are about to evaluate.
-    """
+def load_checkpoint(path):
+    """Load (params, config); validates shapes against the stored config."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such checkpoint: {path}")
     with path.open("rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+        r = Reader(fh, CorruptCheckpoint("truncated checkpoint file"))
+        if r.read(4) != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic in checkpoint {path}")
-        version = struct.unpack("<I", _read_exact(fh, 4))[0]
+        version = r.u32()
         if version != CHECKPOINT_VERSION:
             raise UnsupportedVersion(f"checkpoint version {version}")
-        cfg_len = struct.unpack("<I", _read_exact(fh, 4))[0]
         try:
-            config = ModelConfig.from_dict(json.loads(_read_exact(fh, cfg_len)))
+            config = ModelConfig.from_dict(json.loads(r.read(r.u32())))
         except (ValueError, KeyError) as err:
             raise CorruptCheckpoint(f"bad config block: {err}") from err
-        if expect_mode is not None and config.mode != expect_mode:
-            raise CorruptCheckpoint(
-                f"checkpoint holds a {config.mode} model, expected {expect_mode}"
-            )
-        shapes = expected_shapes(config)
         named = {}
-        for want_name, want_shape in shapes.items():
-            name_len = struct.unpack("<I", _read_exact(fh, 4))[0]
-            name = _read_exact(fh, name_len).decode("utf-8")
+        for want_name, want_shape in expected_shapes(config).items():
+            name = r.string()
             if name != want_name:
                 raise CorruptCheckpoint(f"unexpected parameter '{name}'")
-            ndim = struct.unpack("<I", _read_exact(fh, 4))[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+            shape = r.u32s(r.u32())
             if shape != want_shape:
                 raise CorruptCheckpoint(
                     f"parameter '{name}' has shape {shape}, expected {want_shape}"
                 )
             count = int(np.prod(shape, dtype=np.int64))
-            arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
+            arr = np.frombuffer(r.read(8 * count), dtype="<f8")
             named[name] = arr.astype(np.float64).reshape(shape)
         if fh.read(1):
             raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")

@@ -20,7 +20,7 @@ from conftest import random_doc, random_model, tiny_config, zero_model
 from savae import corpus as corpus_mod
 from savae import evaluation, inference, model, training
 from savae.corpus import Document
-from savae.evaluation import DEFAULT_RECALL_GRID, ProbeConfig, linear_probe
+from savae.evaluation import DEFAULT_RECALL_GRID, linear_probe
 from savae.model import ModelConfig
 from savae.numerics import GaussianPosterior, RngStream, kl_standard_normal
 
@@ -236,10 +236,10 @@ class TestCriterion6AblationDirection:
                 params, _ = training.train(split, mcfg, tcfg)
                 reps_tr = inference.represent_batch(split.train, params, mcfg)
                 reps_te = inference.represent_batch(split.test, params, mcfg)
-                qv = np.stack([r.vector for r in reps_te if not r.empty])
-                ql = [r.labels for r in reps_te if not r.empty]
-                iv = np.stack([r.vector for r in reps_tr if not r.empty])
-                il = [r.labels for r in reps_tr if not r.empty]
+                qv = np.stack([r.vector for r in reps_te])
+                ql = [r.labels for r in reps_te]
+                iv = np.stack([r.vector for r in reps_tr])
+                il = [r.labels for r in reps_tr]
                 curve = evaluation.retrieval_pr(qv, ql, iv, il, "exact")
                 mask = [i for i, r in enumerate(curve.recall) if 0.01 <= r <= 0.5]
                 prec = float(np.mean(curve.precision[mask]))
@@ -263,11 +263,11 @@ class TestCriterion7LinearProbe:
         X1 = rng.normal(size=(n // 2, 5)) - np.array([4.0, 0, 0, 0, 0])
         X = np.concatenate([X0, X1])
         y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
-        acc = linear_probe(X, y, X, y, ProbeConfig(epochs=200))
+        acc = linear_probe(X, y, X, y, epochs=200)
         assert acc == 1.0
         y_shuf = rng.permutation(y)
         yt_shuf = rng.permutation(y)
-        acc_shuf = linear_probe(X, y_shuf, X, yt_shuf, ProbeConfig(epochs=50))
+        acc_shuf = linear_probe(X, y_shuf, X, yt_shuf, epochs=50)
         assert abs(acc_shuf - 0.5) <= 0.05
         _line(7, "linear probe sanity", "PASS",
               f"separable blobs 100%, shuffled labels {acc_shuf:.3f}")
@@ -293,13 +293,11 @@ class TestCriterion7LinearProbe:
         params, _ = training.train(split, mcfg, tcfg)
         reps_tr = inference.represent_batch(split.train, params, mcfg)
         reps_te = inference.represent_batch(split.test, params, mcfg)
-        Xtr = np.stack([r.vector for r in reps_tr if not r.empty])
-        ytr = np.array([1.0 if "pos" in r.labels else 0.0
-                        for r in reps_tr if not r.empty])
-        Xte = np.stack([r.vector for r in reps_te if not r.empty])
-        yte = np.array([1.0 if "pos" in r.labels else 0.0
-                        for r in reps_te if not r.empty])
-        acc = linear_probe(Xtr, ytr, Xte, yte, ProbeConfig(epochs=100))
+        Xtr = np.stack([r.vector for r in reps_tr])
+        ytr = np.array([1.0 if "pos" in r.labels else 0.0 for r in reps_tr])
+        Xte = np.stack([r.vector for r in reps_te])
+        yte = np.array([1.0 if "pos" in r.labels else 0.0 for r in reps_te])
+        acc = linear_probe(Xtr, ytr, Xte, yte)
         elapsed = time.time() - start
         ok = acc > 0.60
         _line(7, "IMDB probe pipeline", "PASS" if ok else "FAIL",

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from savae import training
+from savae.corpus import load_corpus_file
 from savae.cli import main, read_config_file
 from savae.inference import DocRepresentation, write_representations
 
@@ -255,6 +258,96 @@ class TestCategorizedErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: DegenerateLabels:")
         assert "'other'" in err and "line 12" in err
+
+
+    @pytest.mark.parametrize(
+        "files, argv, expected",
+        [
+            pytest.param(
+                {"in.txt": b"a\thello world\n"},
+                ["--config", "nope.cfg", "preprocess", "--input", "in.txt",
+                 "--format", "labeled-lines"],
+                "error: IoError: no such config file: nope.cfg",
+                id="missing-config-file",
+            ),
+            pytest.param(
+                {"in.txt": b"a\thello world\n", "taken": b""},
+                ["--out", "taken", "preprocess", "--input", "in.txt", "--format", "labeled-lines"],
+                "error: IoError: cannot create output directory taken",
+                id="out-is-a-file",
+            ),
+            pytest.param(
+                {"in.txt": b"a\thello world\n"},
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines",
+                 "--vocab-size", "0"],
+                "error: ConfigError: corpus.vocab_size must be >= 1",
+                id="vocab-size-0",
+            ),
+            pytest.param(
+                {"in.txt": b"a\thello world\n"},
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines",
+                 "--test-fraction", "1.0"],
+                "error: ConfigError: --test-fraction must lie in [0, 1)",
+                id="test-fraction-1",
+            ),
+            pytest.param(
+                {"in.txt": b"a\thello world\n"},
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines",
+                 "--test-fraction", "-0.5"],
+                "error: ConfigError: --test-fraction must lie in [0, 1)",
+                id="test-fraction-negative",
+            ),
+            pytest.param(
+                {"in.txt": b"b\thello there world\nx|y\thello world again\n"},
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines"],
+                "error: ParseError: line 2: label field 'x|y' contains '|'",
+                id="pipe-in-labeled-lines-label",
+            ),
+            pytest.param(
+                {"raw/a|b/000": b"From: x@y\n\nhello world\n"},
+                ["preprocess", "--input", "raw", "--format", "newsgroup-dirs"],
+                "error: ParseError: label directory raw/a|b contains '|'",
+                id="pipe-in-newsgroup-directory",
+            ),
+            pytest.param(
+                {"q.csv": b"id,labels,v0\n0,a,1.0\n", "i.csv": b"id,labels,v0,v1\n0,a,1.0,0.0\n"},
+                ["eval-retrieval", "--queries", "q.csv", "--index", "i.csv"],
+                "error: ParseError: line 1: i.csv has 2 vector columns, q.csv has 1",
+                id="retrieval-vector-widths-differ",
+            ),
+            pytest.param(
+                {"tr.csv": b"id,labels,v0,v1\n0,a,1.0,0.0\n1,b,0.0,1.0\n",
+                 "te.csv": b"id,labels,v0\n0,a,1.0\n"},
+                ["probe", "--train", "tr.csv", "--test", "te.csv"],
+                "error: ParseError: line 1: te.csv has 1 vector columns, tr.csv has 2",
+                id="probe-vector-widths-differ",
+            ),
+            pytest.param(
+                {"q.csv": b"id,labels,v0\n", "i.csv": b"id,labels,v0\n0,a,1.0\n"},
+                ["eval-retrieval", "--queries", "q.csv", "--index", "i.csv"],
+                "error: AllDocumentsEmpty: no representations in q.csv",
+                id="retrieval-header-only-csv",
+            ),
+        ],
+    )
+    def test_user_error(self, tmp_path, monkeypatch, capsys, files, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            Path(name).write_bytes(data)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["labeled-lines", "unlabeled-lines"])
+    def test_invalid_utf8_is_replaced(self, tmp_path, capsys, fmt):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"a\thello \xff world\n")
+        assert run(["--out", tmp_path / "pre", "preprocess", "--input", path,
+                    "--format", fmt]) == 0
+        vocab = load_corpus_file(tmp_path / "pre" / "corpus.savc").vocabulary
+        assert set(vocab.tokens) == {"hello", "world"}
+        capsys.readouterr()
 
 
 class TestMultiLabelChoice:

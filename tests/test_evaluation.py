@@ -12,8 +12,7 @@ from savae.errors import (
 )
 from savae.evaluation import (
     DEFAULT_RECALL_GRID,
-    ProbeConfig,
-    cosine_distance,
+    cosine_distances,
     davies_bouldin,
     dunn,
     embedding_spaces,
@@ -22,6 +21,13 @@ from savae.evaluation import (
     retrieval_pr,
     silhouette,
 )
+
+
+def cosine_distance(a, b):
+    """``cosine_distances`` of two vectors as 1-row matrices."""
+    d = cosine_distances([a], [b])
+    assert d.shape == (1, 1)
+    return d[0, 0]
 
 
 class TestCosineDistance:
@@ -237,7 +243,7 @@ class TestLinearProbe:
 
     def test_separable_blobs_perfect(self, np_rng):
         X, y = self._blobs(np_rng, sep=12.0)
-        acc = linear_probe(X, y, X, y, ProbeConfig(epochs=200))
+        acc = linear_probe(X, y, X, y, epochs=200)
         assert acc == 1.0
 
     def test_shuffled_labels_chance_level(self, np_rng):
@@ -245,7 +251,7 @@ class TestLinearProbe:
         y_shuffled = np_rng.permutation(y)
         Xt, yt = self._blobs(np_rng, n=400)
         yt = np_rng.permutation(yt)
-        acc = linear_probe(X, y_shuffled, Xt, yt, ProbeConfig(epochs=50))
+        acc = linear_probe(X, y_shuffled, Xt, yt, epochs=50)
         assert abs(acc - 0.5) <= 0.05
 
     def test_single_class_rejected(self, np_rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_model, tiny_config, zero_model
 from oracles import encoder_posterior, naive_doc_log_likelihoods
+from savae import inference
 from savae.corpus import Document
 from savae.errors import AllDocumentsEmpty, ParseError
 from savae.inference import (
@@ -14,7 +17,7 @@ from savae.inference import (
     represent_batch,
     write_representations,
 )
-from savae.model import ModelConfig
+from savae.model import ElboEstimate, ModelConfig
 from savae.numerics import RngStream
 
 
@@ -59,10 +62,10 @@ class TestRepresent:
 
     def test_empty_rejected(self, tmp_path):
         cfg = tiny_config()
-        rep = represent_batch([Document(ids=[])], random_model(cfg), cfg)[0]
-        assert rep.empty
+        reps = represent_batch([Document(ids=[])], random_model(cfg), cfg)
+        assert reps == []
         with pytest.raises(AllDocumentsEmpty):
-            write_representations([rep], tmp_path / "reps.csv")
+            write_representations(reps, tmp_path / "reps.csv")
 
 
 class TestRepresentBatch:
@@ -71,11 +74,10 @@ class TestRepresentBatch:
     def test_matches_oracle_and_preserves_order(self, case):
         config, params, docs = case
         reps = represent_batch(docs, params, config)
-        assert [r.doc_id for r in reps] == list(range(len(docs)))
-        assert [r.empty for r in reps] == [doc.is_empty for doc in docs]
-        assert [r.labels for r in reps] == [doc.labels for doc in docs]
         kept = [i for i, doc in enumerate(docs) if not doc.is_empty]
-        got = np.array([reps[i].vector for i in kept])
+        assert [r.doc_id for r in reps] == kept
+        assert [r.labels for r in reps] == [docs[i].labels for i in kept]
+        got = np.array([r.vector for r in reps])
         want = np.array([encoder_posterior(docs[i].ids, params).mu for i in kept])
         # entries that cancel to near zero carry the rounding of their terms
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -83,24 +85,20 @@ class TestRepresentBatch:
         # empty ones leaves every GEMM, and so every bit, as it was
         alone = represent_batch([docs[i] for i in kept], params, config)
         assert np.array_equal(np.array([r.vector for r in alone]), got)
-        for i, doc in enumerate(docs):
-            if doc.is_empty:
-                np.testing.assert_array_equal(reps[i].vector, np.zeros(config.d))
 
     def test_empty_docs_flagged(self):
         cfg = tiny_config()
         params = random_model(cfg)
-        reps = represent_batch([Document(ids=[]), Document(ids=[1])], params, cfg)
-        assert reps[0].empty and not reps[1].empty
-        np.testing.assert_array_equal(reps[0].vector, np.zeros(cfg.d))
+        docs = [Document(ids=[]), Document(ids=[1], labels={"a"}), Document(ids=[]),
+                Document(ids=[2, 1], labels={"b"})]
+        reps = represent_batch(docs, params, cfg)
+        assert [(r.doc_id, r.labels) for r in reps] == [(1, {"a"}), (3, {"b"})]
 
     def test_no_and_all_empty_documents(self):
         cfg = tiny_config()
         params = random_model(cfg)
         assert represent_batch([], params, cfg) == []
-        reps = represent_batch([Document(ids=[], labels={"a"})] * 300, params, cfg)
-        assert [r.doc_id for r in reps] == list(range(300))
-        assert all(r.empty and r.labels == {"a"} and not r.vector.any() for r in reps)
+        assert represent_batch([Document(ids=[], labels={"a"})] * 300, params, cfg) == []
 
 
 class TestEvaluateBound:
@@ -128,6 +126,20 @@ class TestEvaluateBound:
             evaluate_bound([Document(ids=[])] * 300, random_model(cfg), cfg)
         with pytest.raises(AllDocumentsEmpty):
             evaluate_bound([], random_model(cfg), cfg)
+
+    def test_perplexity_past_exp_overflow(self, monkeypatch):
+        cfg = tiny_config()
+        docs = [Document(ids=[0, 3]), Document(ids=[]), Document(ids=[2, 5, 1])]
+
+        def huge_loss(docs, params, config, eps_list):
+            return [ElboEstimate(-800.0 * doc.length, 0.0) for doc in docs]
+
+        monkeypatch.setattr(inference, "elbo_estimates", huge_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean_total, perp = evaluate_bound(docs, random_model(cfg), cfg)
+        assert mean_total == -2000.0
+        assert perp == np.inf
 
     @given(block_cases(), st.integers(1, 3), st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -176,14 +188,12 @@ class TestRepresentationCsv:
         np.testing.assert_array_equal(mat, np.array([[0.5, -1.25], [1e-17, 3.0]]))
 
     def test_empty_reps_skipped(self, tmp_path):
-        reps = [
-            DocRepresentation(vector=np.zeros(2), labels=set(), doc_id=0, empty=True),
-            DocRepresentation(vector=np.ones(2), labels={"x"}, doc_id=1),
-        ]
+        cfg = tiny_config()
+        docs = [Document(ids=[]), Document(ids=[1], labels={"x"})]
         path = tmp_path / "reps.csv"
-        write_representations(reps, path)
+        write_representations(represent_batch(docs, random_model(cfg), cfg), path)
         ids, _, mat = read_representations(path)
-        assert ids == [1] and mat.shape == (1, 2)
+        assert ids == [1] and mat.shape == (1, cfg.d)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "reps.csv"

@@ -29,7 +29,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, inference, training
 from .errors import ConfigError, DegenerateLabels, IoError, ParseError, SavaeError
-from .fileio import atomic_write
+from .fileio import atomic_write, utf8_lines
 from .model import ModelConfig
 from .numerics import RngStream
 
@@ -54,8 +54,8 @@ def read_config_file(path):
     if not Path(path).is_file():
         raise IoError(f"no such config file: {path}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -236,7 +236,7 @@ def load_corpus_file(path):
     if not path.exists():
         raise IoError(f"no such file: {path}")
     with path.open("rb") as fh:
-        r = Reader(fh, CorruptFile(f"truncated corpus file {path}"))
+        r = Reader(fh, CorruptFile, f"corpus file {path}")
         if r.read(4) != CORPUS_MAGIC:
             raise CorruptFile(f"bad magic in corpus file {path}")
         version = r.u32()

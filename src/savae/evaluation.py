@@ -57,6 +57,9 @@ DEFAULT_RECALL_GRID = (
 PROBE_LEARNING_RATE = 1e-3
 PROBE_BATCH_SIZE = 256
 
+# query rows ranked together by retrieval_pr
+_QUERY_BLOCK = 256
+
 
 def cosine_distances(A, B):
     """1 - cos between each row of A and each row of B; zero-norm rows give 1."""
@@ -104,6 +107,15 @@ class ClusterMetrics:
         )
 
 
+def _incidence(label_sets, column):
+    """0/1 matrix: row i has a 1 in ``column[label]`` for each of its labels."""
+    rows = [i for i, labels in enumerate(label_sets) for label in labels if label in column]
+    cols = [column[label] for labels in label_sets for label in labels if label in column]
+    out = np.zeros((len(label_sets), len(column)))
+    out[rows, cols] = 1.0
+    return out
+
+
 def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="exact"):
     """Average per-query precision at the recall levels of DEFAULT_RECALL_GRID.
 
@@ -118,6 +130,12 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
 
     Queries with no relevant document (R = 0, or zero total gain) are
     skipped and counted in ``skipped``.
+
+    Label overlaps come from one product of 0/1 (documents x shared labels)
+    incidence matrices, exact in float64. Queries are ranked in blocks of
+    ``_QUERY_BLOCK`` rows, so beyond the inputs and the incidence matrices
+    the working memory is a few (_QUERY_BLOCK, n_index) arrays: it grows
+    with the index, not with the number of queries.
     """
     if relevance not in ("exact", "jaccard"):
         raise ValueError(f"unknown relevance mode: {relevance}")
@@ -125,50 +143,61 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
     index_reps = np.asarray(index_reps, dtype=np.float64)
     if len(query_reps) == 0 or len(index_reps) == 0:
         raise ValueError("queries and index must be non-empty")
-    grid = DEFAULT_RECALL_GRID
-    dists = cosine_distances(query_reps, index_reps)
+    for side, reps, labels in (
+        ("query", query_reps, query_labels),
+        ("index", index_reps, index_labels),
+    ):
+        if len(labels) != len(reps):
+            raise ValueError(f"{len(reps)} {side} representations but {len(labels)} label sets")
+    grid = np.array(DEFAULT_RECALL_GRID)
     n_index = len(index_reps)
-    index_sets = [frozenset(ls) for ls in index_labels]
+    # a label on one side only adds to no intersection, so it needs no column;
+    # the column order cannot change the products, which are exact integers
+    shared = set().union(*query_labels) & set().union(*index_labels)
+    column = {label: j for j, label in enumerate(shared)}
+    index_inc = _incidence(index_labels, column).T
+    query_inc = _incidence(query_labels, column)
+    if relevance == "jaccard":
+        query_sizes = np.array([len(set(ls)) for ls in query_labels], dtype=np.float64)
+        index_sizes = np.array([len(set(ls)) for ls in index_labels], dtype=np.float64)
+
+    def precisions(block):
+        """Precision at each grid level for the block's queries that have a
+        relevant document; every (block, n_index) array dies on return."""
+        order = np.argsort(cosine_distances(query_reps[block], index_reps), axis=1, kind="stable")
+        gains = query_inc[block] @ index_inc  # intersection sizes, then gains in place
+        if relevance == "exact":
+            np.minimum(gains, 1.0, out=gains)
+        else:
+            union = query_sizes[block, None] + index_sizes - gains
+            np.divide(gains, union, out=gains, where=gains > 0)
+        gains = np.take_along_axis(gains, order, axis=1)
+        total = gains.sum(axis=1)
+        keep = total > 0.0
+        total = total[keep]
+        cum = np.cumsum(gains[keep], axis=1)
+        if relevance == "exact":
+            ranks = np.clip(np.ceil(grid * total[:, None]).astype(int), 1, n_index) - 1
+        else:
+            recall = cum / total[:, None]
+            # recall never decreases, so the count below a level is its
+            # insertion point; the slack absorbs round-off when a rational
+            # recall sits exactly on a level (0.5 as 0.49999999999999994)
+            ranks = np.stack(
+                [np.count_nonzero(recall < level, axis=1) for level in grid - 1e-9], axis=1
+            )
+            ranks = np.minimum(ranks, n_index - 1)
+        return np.take_along_axis(cum, ranks, axis=1) / (ranks + 1)
+
     acc = np.zeros(len(grid))
     used = 0
-    skipped = 0
-    for qi, qlabels in enumerate(query_labels):
-        qset = frozenset(qlabels)
-        order = np.argsort(dists[qi], kind="stable")
-        if relevance == "exact":
-            rel = np.array([bool(qset & index_sets[j]) for j in order], dtype=np.float64)
-            R = int(rel.sum())
-            if R == 0:
-                skipped += 1
-                continue
-            cum = np.cumsum(rel)
-            ranks = np.minimum(np.ceil(np.array(grid) * R).astype(int), n_index)
-            ranks = np.maximum(ranks, 1)
-            acc += cum[ranks - 1] / ranks
-        else:
-            gains = np.array(
-                [
-                    len(qset & index_sets[j]) / len(qset | index_sets[j])
-                    if (qset | index_sets[j])
-                    else 0.0
-                    for j in order
-                ]
-            )
-            total = gains.sum()
-            if total == 0.0:
-                skipped += 1
-                continue
-            cum = np.cumsum(gains)
-            recall = cum / total
-            # slack absorbs round-off when a rational recall sits exactly on
-            # a grid level (e.g. 0.5 computed as 0.49999999999999994)
-            ranks = np.searchsorted(recall, np.array(grid) - 1e-9, side="left")
-            ranks = np.minimum(ranks, n_index - 1)
-            acc += cum[ranks] / (ranks + 1)
-        used += 1
+    for start in range(0, len(query_reps), _QUERY_BLOCK):
+        block_precisions = precisions(slice(start, start + _QUERY_BLOCK))
+        acc += block_precisions.sum(axis=0)
+        used += len(block_precisions)
     if used == 0:
         raise DegenerateLabels("every query was skipped (no relevant documents)")
-    return PrCurve(recall=grid, precision=acc / used, n_queries=used, skipped=skipped)
+    return PrCurve(DEFAULT_RECALL_GRID, acc / used, used, skipped=len(query_reps) - used)
 
 
 def _clusters(reps, labels):

@@ -1,9 +1,12 @@
-"""Atomic file writes and the little-endian reader shared by the binary files."""
+"""Atomic file writes, UTF-8 lines of text files and the little-endian
+reader shared by the binary files."""
 
 import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -25,17 +28,29 @@ def atomic_write(path, mode="wb", **open_kwargs):
         raise
 
 
-class Reader:
-    """Little-endian fields from a binary file; a short read raises ``truncated``."""
+def utf8_lines(fh, path):
+    """Lines of the binary file ``fh`` as text; a line that is not UTF-8 is
+    a ParseError naming ``path`` and the line."""
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"invalid UTF-8 in {path}", lineno) from None
 
-    def __init__(self, fh, truncated):
+
+class Reader:
+    """Little-endian fields from a binary file; a short read or a string that
+    is not UTF-8 raises the exception class ``error``, naming ``source``."""
+
+    def __init__(self, fh, error, source):
         self.fh = fh
-        self.truncated = truncated
+        self.error = error
+        self.source = source
 
     def read(self, n):
         data = self.fh.read(n)
         if len(data) != n:
-            raise self.truncated
+            raise self.error(f"truncated {self.source}")
         return data
 
     def u32(self):
@@ -51,4 +66,8 @@ class Reader:
         return struct.unpack("<q", self.read(8))[0]
 
     def string(self):
-        return self.read(self.u32()).decode("utf-8")
+        data = self.read(self.u32())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"invalid UTF-8 string in {self.source}") from None

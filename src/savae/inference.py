@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllDocumentsEmpty, IoError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, utf8_lines
 # elbo and encode are unused here; the benchmark's tracer wraps them by these names
 from .model import elbo, elbo_estimates, encode, encode_docs  # noqa: F401
 from .numerics import RngStream, perplexity
@@ -85,8 +85,8 @@ def read_representations(path):
     if not path.exists():
         raise IoError(f"no such file: {path}")
     ids, labels, rows = [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open("rb") as fh:
+        reader = csv.reader(utf8_lines(fh, path))
         header = next(reader, None)
         if header is None or header[:2] != ["id", "labels"]:
             raise ParseError(f"bad representation header in {path}", 1)

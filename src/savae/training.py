@@ -208,7 +208,7 @@ def load_checkpoint(path):
     if not path.exists():
         raise IoError(f"no such checkpoint: {path}")
     with path.open("rb") as fh:
-        r = Reader(fh, CorruptCheckpoint("truncated checkpoint file"))
+        r = Reader(fh, CorruptCheckpoint, f"checkpoint {path}")
         if r.read(4) != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic in checkpoint {path}")
         version = r.u32()

@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,39 @@ class TestCategorizedErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: CorruptFile: trailing bytes") and str(corpus) in err
 
+    def test_corpus_token_invalid_utf8(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        corpus = tmp_path / "pre" / "corpus.savc"
+        data = bytearray(corpus.read_bytes())
+        # magic, version, seed and vocabulary size, then the first token's length
+        data[24] = 0xFF
+        corpus.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: CorruptFile: invalid UTF-8 string in corpus file {corpus}\n"
+
+    def test_checkpoint_name_invalid_utf8(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        corpus = tmp_path / "pre" / "corpus.savc"
+        run(["--out", tmp_path / "t", "train", "--corpus", corpus, "--mode", "nvdm",
+             "--d", 2, "--epochs", 1, "--batch-size", 4])
+        ckpt = tmp_path / "t" / "model.savm"
+        data = bytearray(ckpt.read_bytes())
+        # magic, version and the config block, then the first parameter name's length
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        data[12 + cfg_len + 4] = 0xFF
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "rep", "represent", "--checkpoint", ckpt,
+                    "--corpus", corpus])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: CorruptCheckpoint: invalid UTF-8 string in checkpoint {ckpt}\n"
+
     def test_bad_config_cast(self, tmp_path, corpus_dir, capsys):
         run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
              "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
@@ -327,6 +361,20 @@ class TestCategorizedErrors:
                 ["eval-retrieval", "--queries", "q.csv", "--index", "i.csv"],
                 "error: AllDocumentsEmpty: no representations in q.csv",
                 id="retrieval-header-only-csv",
+            ),
+            pytest.param(
+                {"bad.cfg": b"# settings\nmodel.d=\xff\n", "in.txt": b"a\thello world\n"},
+                ["--config", "bad.cfg", "preprocess", "--input", "in.txt",
+                 "--format", "labeled-lines"],
+                "error: ParseError: line 2: invalid UTF-8 in bad.cfg",
+                id="config-file-invalid-utf8",
+            ),
+            pytest.param(
+                {"q.csv": b"id,labels,v0\n0,a,1.0\n1,b\xff,0.5\n",
+                 "i.csv": b"id,labels,v0\n0,a,1.0\n"},
+                ["eval-retrieval", "--queries", "q.csv", "--index", "i.csv"],
+                "error: ParseError: line 3: invalid UTF-8 in q.csv",
+                id="retrieval-csv-label-invalid-utf8",
             ),
         ],
     )

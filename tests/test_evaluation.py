@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from savae.errors import (
     UnknownToken,
 )
 from savae.evaluation import (
+    _QUERY_BLOCK,
     DEFAULT_RECALL_GRID,
     cosine_distances,
     davies_bouldin,
@@ -187,6 +190,80 @@ class TestRetrievalPr:
         assert curve.precision[-1] == pytest.approx(
             sum("a" in l for l in ilabels) / 800, abs=0.02
         )
+
+    @pytest.mark.parametrize("side", ["query", "index"])
+    def test_label_count_mismatch(self, np_rng, side):
+        queries, index = np_rng.normal(size=(3, 2)), np_rng.normal(size=(4, 2))
+        qlabels, ilabels = [{"a"}] * 3, [{"a"}] * 4
+        if side == "query":
+            qlabels = qlabels[:2]
+        else:
+            ilabels = ilabels[:3]
+        with pytest.raises(ValueError, match=f"{side} representations"):
+            retrieval_pr(queries, qlabels, index, ilabels, "exact")
+
+    @staticmethod
+    def _integer_case(seed, n_queries, n_index):
+        """Small-integer vectors, so the package and the oracle compute every
+        cosine alike and ties are exact; with a zero-norm query and index
+        row, a duplicated index row and empty label sets on both sides."""
+        rng = np.random.default_rng(seed)
+        pool = ["a", "b", "c", "d"]
+
+        def label_sets(n):
+            return [set(rng.choice(pool, size=rng.integers(0, 3), replace=False))
+                    for _ in range(n)]
+
+        queries = rng.integers(-2, 3, size=(n_queries, 3)).astype(np.float64)
+        index = rng.integers(-2, 3, size=(n_index, 3)).astype(np.float64)
+        qlabels, ilabels = label_sets(n_queries), label_sets(n_index)
+        queries[-1] = 0.0
+        index[-1] = 0.0
+        if n_index > 2:
+            index[1] = index[0]
+            ilabels[0], ilabels[1] = {"a"}, {"b"}
+        # the first query always has a relevant document
+        qlabels[0], ilabels[-1] = {"a"}, ilabels[-1] | {"a"}
+        return queries, qlabels, index, ilabels
+
+    @pytest.mark.parametrize("mode", ["exact", "jaccard"])
+    @pytest.mark.parametrize("n_index", [1, 20])
+    @pytest.mark.parametrize(
+        "n_queries",
+        [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3],
+    )
+    def test_matches_oracle_across_query_blocks(self, mode, n_index, n_queries):
+        queries, qlabels, index, ilabels = self._integer_case(n_queries, n_queries, n_index)
+        curve = retrieval_pr(queries, qlabels, index, ilabels, mode)
+        expected, used, skipped = oracles.retrieval_pr(
+            queries.tolist(), qlabels, index.tolist(), ilabels, mode, DEFAULT_RECALL_GRID
+        )
+        np.testing.assert_allclose(curve.precision, expected, atol=1e-10)
+        assert (curve.n_queries, curve.skipped) == (used, skipped)
+
+    @pytest.mark.parametrize("mode", ["exact", "jaccard"])
+    def test_every_query_skipped(self, np_rng, mode):
+        n = _QUERY_BLOCK + 1
+        queries, index = np_rng.normal(size=(n, 3)), np_rng.normal(size=(5, 3))
+        qlabels = [{"x"}] * (n - 1) + [set()]
+        with pytest.raises(DegenerateLabels):
+            retrieval_pr(queries, qlabels, index, [{"a"}, set(), {"b"}, {"a"}, {"c"}], mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "jaccard"])
+    def test_peak_memory_independent_of_query_count(self, np_rng, mode):
+        index = np_rng.normal(size=(1000, 8))
+        ilabels = [{"a"} if i % 3 else {"a", "b"} for i in range(1000)]
+        peaks = []
+        for n_queries in (_QUERY_BLOCK, 4 * _QUERY_BLOCK):
+            queries = np_rng.normal(size=(n_queries, 8))
+            qlabels = [{"b"} if i % 2 else {"a", "c"} for i in range(n_queries)]
+            tracemalloc.start()
+            try:
+                retrieval_pr(queries, qlabels, index, ilabels, mode)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_csv_output(self, np_rng):
         queries = np_rng.normal(size=(2, 3))

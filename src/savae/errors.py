@@ -47,13 +47,22 @@ class ConfigError(SavaeError):
 
 
 class NonFiniteGradient(SavaeError):
+    """A gradient, or a term it is computed from, is not finite.
+
+    ``source`` names it (``"parameter 'X'"``), ``context`` says where in
+    training it happened and ``detail`` why.
+    """
+
     category = "NonFiniteGradient"
 
-    def __init__(self, param_name, context=""):
-        self.param_name = param_name
-        msg = f"non-finite gradient in parameter '{param_name}'"
+    def __init__(self, source, context="", detail=""):
+        self.source = source
+        self.detail = detail
+        msg = f"non-finite gradient in {source}"
         if context:
             msg += f" ({context})"
+        if detail:
+            msg += f": {detail}"
         super().__init__(msg)
 
 

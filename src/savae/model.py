@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDocument
+from .errors import ConfigError, EmptyDocument, NonFiniteGradient
 from .numerics import GaussianPosterior, kl_standard_normal, relu, sigmoid
 
 __all__ = [
@@ -57,6 +57,9 @@ NVDM = "nvdm"
 
 # rows per block: of the savae training softmax, and of the encoder's GEMMs
 _ROW_BLOCK = 256
+
+# exp and expm1 overflow above this argument
+_LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -437,6 +440,9 @@ def batch_elbo_gradients(docs, params, config, eps):
     ``dZ = G X_z`` and ``db = G.sum(0)``. In nvdm mode all positions of a
     document share their logits and G comes from word counts; in savae
     mode ``_local_softmax_blocks`` yields it block by block.
+
+    Raises ``NonFiniteGradient`` naming the encoder log-variance when an
+    entry is not finite or so large that its ``exp`` would overflow.
     """
     B = len(docs)
     if B == 0:
@@ -449,6 +455,14 @@ def batch_elbo_gradients(docs, params, config, eps):
 
     counts = np.stack([bow_counts(doc.ids, m) for doc in docs])
     mu, log_var, acts, pre = _encoder_forward(counts, params)
+    if not np.isfinite(log_var).all():
+        raise NonFiniteGradient("encoder log-variance", detail="an entry is not finite")
+    if log_var.max() > _LOG_FLOAT_MAX:
+        raise NonFiniteGradient(
+            "encoder log-variance",
+            detail=f"entry {log_var.max():.6g} exceeds log(float64 max) = "
+            f"{_LOG_FLOAT_MAX:.6g}, where exp overflows",
+        )
     sd = np.exp(0.5 * log_var)
     Z = mu + sd * eps  # (B, d)
 

@@ -346,3 +346,21 @@ def exact_doc_log_likelihoods(ids, Z, params, config, digits=50):
                 total += logits[w] - mx - sum((l - mx).exp() for l in logits).ln()
             totals.append(float(total))
     return np.array(totals)
+
+
+def adam_step(params, grads, m, v, t, learning_rate):
+    """Plain Adam ascent step t (1-based), in place on params, m and v.
+
+    Kingma & Ba (2015) on whole arrays, with beta1 0.9, beta2 0.999 and
+    eps 1e-8; the gradients are used as given.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, theta in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        theta += learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)

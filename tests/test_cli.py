@@ -1,10 +1,11 @@
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from savae import training
+from savae import model, training
 from savae.corpus import load_corpus_file
 from savae.cli import main, read_config_file
 from savae.inference import DocRepresentation, write_representations
@@ -207,6 +208,28 @@ class TestCategorizedErrors:
         assert err.startswith("error: ConfigError:") and "modle.d" in err
         assert "model.d" in err and "train.lr" in err  # the valid keys are listed
         assert not (tmp_path / "t" / "model.savm").exists()
+
+    def test_log_variance_overflow(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        real = model.init_params
+
+        def overflowing(config, rng):
+            params = real(config, rng)
+            params.b_logvar[:] = 3000.0
+            return params
+
+        monkeypatch.setattr(model, "init_params", overflowing)
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "t", "train", "--corpus", tmp_path / "pre" / "corpus.savc"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: NonFiniteGradient: non-finite gradient in encoder log-variance "
+            r"\(epoch 1, batch 0\): entry 3\d\d\d(\.\d+)? exceeds log\(float64 max\) = "
+            r"709\.783, where exp overflows\n",
+            err,
+        ), err
 
     def test_corpus_file_with_trailing_byte(self, tmp_path, corpus_dir, capsys):
         run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,

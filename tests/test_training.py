@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_model, tiny_config
 from savae.corpus import CorpusSplit, Document, Vocabulary
 from savae.errors import ConfigError, CorruptCheckpoint, EmptyCorpus, NonFiniteGradient, UnsupportedVersion
 from savae import model as model_mod
+from savae import training
 from savae.model import ElboEstimate, ModelConfig
 from savae.numerics import RngStream
 from savae.training import (
@@ -20,6 +23,20 @@ from savae.training import (
     save_checkpoint,
     train,
 )
+
+
+BLOCK = training.ADAM_BLOCK
+
+
+def _laid_out(shape, layout, seed):
+    """(owner, param): a 2-D param in Fortran order or a strided view of
+    its owner, or a C-ordered param that is its own owner."""
+    rng = np.random.default_rng(seed)
+    if layout == "strided":
+        owner = rng.normal(size=(2 * shape[0], shape[1] + 1))
+        return owner, owner[::2, 1:]
+    owner = np.asarray(rng.normal(size=shape), order=layout)
+    return owner, owner
 
 
 class TestAdamStep:
@@ -62,6 +79,78 @@ class TestAdamStep:
             before = params["x"].copy()
             adam_step(params, {"x": rng.normal(size=50) * 10}, state, 0.05)
             assert np.max(np.abs(params["x"] - before)) <= 10 * 0.05
+
+    @pytest.mark.parametrize(
+        "shape,layout",
+        [
+            ((1,), "C"),
+            ((BLOCK - 1,), "C"),
+            ((BLOCK,), "C"),
+            ((BLOCK + 1,), "C"),
+            ((2 * BLOCK + 3,), "C"),
+            ((700, 97), "C"),
+            ((3, BLOCK + 5), "C"),
+            ((300, 250), "F"),
+            ((300, 250), "strided"),
+        ],
+    )
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_blocks_match_plain_formula(self, shape, layout, batch_size):
+        owner, theta = _laid_out(shape, layout, seed=shape[0])
+        ref_owner, ref_theta = _laid_out(shape, layout, seed=shape[0])
+        params, ref = {"p": theta}, {"p": ref_theta}
+        state = AdamState(params)
+        ref_m, ref_v = {"p": np.zeros(shape)}, {"p": np.zeros(shape)}
+        rng = np.random.default_rng(1)
+        for t in range(1, 7):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            if batch_size is None:
+                adam_step(params, {"p": g}, state, 0.01)
+                oracles.adam_step(ref, {"p": g}, ref_m, ref_v, t, 0.01)
+            else:
+                adam_step(params, {"p": g}, state, 0.01, batch_size)
+                oracles.adam_step(ref, {"p": g / batch_size}, ref_m, ref_v, t, 0.01)
+        assert params["p"] is theta
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert owner.tobytes() == ref_owner.tobytes()  # in place, gaps untouched
+        assert state.m["p"].tobytes() == ref_m["p"].tobytes()
+        assert state.v["p"].tobytes() == ref_v["p"].tobytes()
+        assert state.t == 6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_in_last_block_changes_nothing(self, bad):
+        rng = np.random.default_rng(2)
+        params = {"a": rng.normal(size=BLOCK + 10), "b": rng.normal(size=(2, BLOCK + 2))}
+        state = AdamState(params)
+        for _ in range(2):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            adam_step(params, grads, state, 0.01, 3)
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        grads["b"][-1, -1] = bad
+        before = [arr.copy() for d in (params, state.m, state.v) for arr in d.values()]
+        with pytest.raises(NonFiniteGradient, match="parameter 'b'"):
+            adam_step(params, grads, state, 0.01, 3)
+        after = [arr for d in (params, state.m, state.v) for arr in d.values()]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+        assert state.t == 2
+
+    def test_step_allocates_no_full_size_array(self):
+        def peak(shape):
+            params = {"p": np.ones(shape)}
+            grads = {"p": np.full(shape, 0.5)}
+            state = AdamState(params)
+            adam_step(params, grads, state, 1e-3, 4)
+            tracemalloc.start()
+            try:
+                adam_step(params, grads, state, 1e-3, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak((500, 500)), peak((2000, 500))
+        assert large <= 1.25 * small
+        assert large < 2_000_000
+
 
 
 def synthetic_two_topic_corpus(n_docs=200, m=20, seed=0):
@@ -155,6 +244,48 @@ class TestTrain:
         assert record.nats_per_word == pytest.approx(800.0, rel=1e-12)
         assert record.perplexity == np.inf
         assert log.to_csv().split("\n")[1].split(",")[3] == "800.000000"
+
+
+class TestTrainNumerics:
+    @pytest.mark.parametrize("mode", ["savae", "nvdm"])
+    def test_matches_plain_adam(self, monkeypatch, mode):
+        # m = 2000 makes enc_W_0 (2000, 40) three Adam blocks
+        split = synthetic_two_topic_corpus(n_docs=40, m=2000)
+        mcfg = ModelConfig(mode=mode, m=2000, d=3, k=2, encoder_layers=(40,))
+        tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=16, seed=3)
+        params, _ = train(split, mcfg, tcfg)
+
+        def plain(named, grads, state, learning_rate, batch_size):
+            state.t += 1
+            mean = {name: g / batch_size for name, g in grads.items()}
+            oracles.adam_step(named, mean, state.m, state.v, state.t, learning_rate)
+
+        monkeypatch.setattr(training, "adam_step", plain)
+        ref, _ = train(split, mcfg, tcfg)
+        ref_named = ref.named_arrays()
+        for name, arr in params.named_arrays().items():
+            assert arr.tobytes() == ref_named[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "b_logvar,detail",
+        [(3000.0, "exceeds log(float64 max)"), (np.inf, "not finite"), (np.nan, "not finite")],
+    )
+    def test_log_variance_overflow_is_named(self, monkeypatch, b_logvar, detail):
+        split = synthetic_two_topic_corpus(n_docs=12, m=6)
+        mcfg = ModelConfig(mode="savae", m=6, d=2, k=2, encoder_layers=(3,))
+        real = model_mod.init_params
+
+        def overflowing(config, rng):
+            params = real(config, rng)
+            params.b_logvar[:] = b_logvar
+            return params
+
+        monkeypatch.setattr(model_mod, "init_params", overflowing)
+        with pytest.raises(NonFiniteGradient) as info:
+            train(split, mcfg, TrainConfig(learning_rate=0.001, epochs=1, batch_size=4))
+        msg = str(info.value)
+        assert msg.startswith("non-finite gradient in encoder log-variance (epoch 1, batch 0): ")
+        assert detail in msg
 
 
 class TestCheckpointIo:

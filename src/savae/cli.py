@@ -222,10 +222,21 @@ def cmd_train(args, cfg):
     )
 
 
-def cmd_represent(args, cfg):
-    out = _out_dir(args)
+def _load_model_and_corpus(args):
+    """The checkpoint and corpus file; their vocabulary sizes must agree."""
     params, model_config = training.load_checkpoint(args.checkpoint)
     split = corpus_mod.load_corpus_file(args.corpus)
+    if model_config.m != len(split.vocabulary):
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} has a vocabulary of {model_config.m} words, "
+            f"corpus file {args.corpus} has {len(split.vocabulary)}"
+        )
+    return params, model_config, split
+
+
+def cmd_represent(args, cfg):
+    out = _out_dir(args)
+    params, model_config, split = _load_model_and_corpus(args)
     docs = split.train if args.split == "train" else split.test
     reps = inference.represent_batch(docs, params, model_config)
     path = out / f"representations_{args.split}.csv"
@@ -281,8 +292,7 @@ def cmd_eval_cluster(args, cfg):
 
 def cmd_neighbors(args, cfg):
     out = _out_dir(args)
-    params, model_config = training.load_checkpoint(args.checkpoint)
-    split = corpus_mod.load_corpus_file(args.corpus)
+    params, model_config, split = _load_model_and_corpus(args)
     spaces = evaluation.embedding_spaces(params, model_config)
     if args.space not in spaces:
         raise ConfigError([f"embedding space {args.space!r} not available for "

@@ -4,13 +4,31 @@ deterministic shuffling, and a versioned binary corpus file.
 Tokenization lowercases and keeps maximal runs of two or more word
 characters (letters, digits, underscore); single-character tokens are
 dropped and no stopword filtering is applied.
+
+The corpus file (version 2) is a sequence of whole little-endian arrays,
+so that it is read with one ``np.frombuffer`` per section:
+
+- header: magic ``SAVC``, u32 version, i64 shuffle seed, u32 vocabulary
+  size n, u32 number of distinct labels L;
+- vocabulary: u32[n] token byte lengths, the UTF-8 tokens as one blob,
+  u64[n] training-corpus counts;
+- labels: u32[L] byte lengths and one UTF-8 blob, in sorted order;
+- for the train split, then the test split: u32 document count N,
+  u32[N] document lengths, u32[N] label counts, the u32 label indices of
+  all documents, then the u32 token ids of all documents.
+
+Version-1 files, which write each document as its own fields, still load.
 """
 
+import io
 import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
 from .fileio import Reader, atomic_write
@@ -33,7 +51,7 @@ __all__ = [
 _TOKEN_RE = re.compile(r"(?u)\b\w\w+\b")
 
 CORPUS_MAGIC = b"SAVC"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 
 
 def tokenize(text):
@@ -191,69 +209,133 @@ def load_corpus(path, format):
 # ---------------------------------------------------------------------------
 
 
-def _write_str(fh, s):
-    data = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+def _write_strings(fh, strings):
+    data = [s.encode("utf-8") for s in strings]
+    fh.write(np.array([len(b) for b in data], dtype="<u4").tobytes())
+    fh.write(b"".join(data))
 
 
-def _write_docs(fh, docs):
+def _write_docs(fh, docs, label_index):
+    doc_labels = [sorted(label_index[lab] for lab in doc.labels) for doc in docs]
     fh.write(struct.pack("<I", len(docs)))
-    for doc in docs:
-        labels = sorted(doc.labels)
-        fh.write(struct.pack("<I", len(labels)))
-        for lab in labels:
-            _write_str(fh, lab)
-        fh.write(struct.pack("<I", doc.length))
-        fh.write(struct.pack(f"<{doc.length}I", *doc.ids))
+    for column in (
+        [len(doc.ids) for doc in docs],
+        [len(labs) for labs in doc_labels],
+        list(chain.from_iterable(doc_labels)),
+        list(chain.from_iterable(doc.ids for doc in docs)),
+    ):
+        fh.write(np.array(column, dtype="<u4").tobytes())
 
 
 def save_corpus_file(split, path):
+    """Write ``split`` as a version-2 corpus file (see the module docstring)."""
+    vocab = split.vocabulary
+    labels = sorted(set().union(*(doc.labels for doc in split.train + split.test)))
+    label_index = {lab: i for i, lab in enumerate(labels)}
     with atomic_write(path) as fh:
         fh.write(CORPUS_MAGIC)
-        fh.write(struct.pack("<I", CORPUS_VERSION))
-        fh.write(struct.pack("<q", split.shuffle_seed))
-        vocab = split.vocabulary
-        fh.write(struct.pack("<I", len(vocab)))
-        for tok, cnt in zip(vocab.tokens, vocab.counts):
-            _write_str(fh, tok)
-            fh.write(struct.pack("<Q", cnt))
-        _write_docs(fh, split.train)
-        _write_docs(fh, split.test)
+        fh.write(struct.pack("<IqII", CORPUS_VERSION, split.shuffle_seed, len(vocab), len(labels)))
+        _write_strings(fh, vocab.tokens)
+        fh.write(np.array(vocab.counts, dtype="<u8").tobytes())
+        _write_strings(fh, labels)
+        _write_docs(fh, split.train, label_index)
+        _write_docs(fh, split.test, label_index)
 
 
-def _read_docs(r):
-    docs = []
+def _vocabulary(tokens, counts, r):
+    try:
+        return Vocabulary(tokens=tokens, counts=counts)
+    except ValueError as err:
+        raise CorruptFile(f"bad vocabulary in {r.source}: {err}") from None
+
+
+def _check_below(top, limit, what, r):
+    if top >= limit:
+        raise CorruptFile(f"{what} {top} out of range (< {limit}) in {r.source}")
+
+
+def _read_v1(r):
+    """Version 1: each vocabulary entry and document field by field."""
+    seed = r.i64()
+    tokens, counts = [], []
     for _ in range(r.u32()):
-        labels = {r.string() for _ in range(r.u32())}
-        ids = list(r.u32s(r.u32()))
-        docs.append(Document(ids=ids, labels=labels))
-    return docs
+        tokens.append(r.string())
+        counts.append(r.u64())
+    splits = []
+    for _ in range(2):
+        docs = []
+        for _ in range(r.u32()):
+            labels = {r.string() for _ in range(r.u32())}
+            ids = list(r.u32s(r.u32()))
+            _check_below(max(ids, default=-1), len(tokens), "token id", r)
+            docs.append(Document(ids=ids, labels=labels))
+        splits.append(docs)
+    vocab = _vocabulary(tokens, counts, r)
+    return CorpusSplit(train=splits[0], test=splits[1], vocabulary=vocab, shuffle_seed=seed)
+
+
+def _offsets(lengths):
+    """Consecutive (start, end) pairs of items of the given lengths."""
+    return list(pairwise([0, *np.cumsum(lengths, dtype=np.int64).tolist()]))
+
+
+def _read_strings(r, n):
+    bounds = _offsets(r.array("<u4", n))
+    blob = r.read(bounds[-1][1] if bounds else 0)
+    try:
+        return [blob[a:b].decode("utf-8") for a, b in bounds]
+    except UnicodeDecodeError:
+        raise CorruptFile(f"invalid UTF-8 string in {r.source}") from None
+
+
+def _read_docs_v2(r, n_vocab, labels):
+    n = r.u32()
+    lengths = r.array("<u4", n)
+    label_counts = r.array("<u4", n)
+    label_ids = r.array("<u4", int(label_counts.sum()))
+    ids = r.array("<u4", int(lengths.sum()))
+    _check_below(ids.max() if ids.size else -1, n_vocab, "token id", r)
+    _check_below(label_ids.max() if label_ids.size else -1, len(labels), "label index", r)
+    flat = ids.tolist()
+    names = [labels[i] for i in label_ids.tolist()]
+    return [
+        Document(ids=flat[a:b], labels=set(names[c:d]))
+        for (a, b), (c, d) in zip(_offsets(lengths), _offsets(label_counts))
+    ]
+
+
+def _read_v2(r):
+    seed = r.i64()
+    n_vocab = r.u32()
+    n_labels = r.u32()
+    tokens = _read_strings(r, n_vocab)
+    counts = r.array("<u8", n_vocab).tolist()
+    labels = _read_strings(r, n_labels)
+    train = _read_docs_v2(r, n_vocab, labels)
+    test = _read_docs_v2(r, n_vocab, labels)
+    vocab = _vocabulary(tokens, counts, r)
+    return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
 
 
 def load_corpus_file(path):
+    """Read a version-2 or version-1 corpus file; any damage is a CorruptFile."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such file: {path}")
-    with path.open("rb") as fh:
-        r = Reader(fh, CorruptFile, f"corpus file {path}")
-        if r.read(4) != CORPUS_MAGIC:
-            raise CorruptFile(f"bad magic in corpus file {path}")
-        version = r.u32()
-        if version != CORPUS_VERSION:
-            raise UnsupportedVersion(f"corpus format version {version}")
-        seed = r.i64()
-        n_vocab = r.u32()
-        tokens, counts = [], []
-        for _ in range(n_vocab):
-            tokens.append(r.string())
-            counts.append(r.u64())
-        vocab = Vocabulary(tokens=tokens, counts=counts)
-        train = _read_docs(r)
-        test = _read_docs(r)
-        if fh.read(1):
-            raise CorruptFile(f"trailing bytes after the last document in {path}")
-    return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
+    fh = io.BytesIO(path.read_bytes())
+    r = Reader(fh, CorruptFile, f"corpus file {path}")
+    if r.read(4) != CORPUS_MAGIC:
+        raise CorruptFile(f"bad magic in corpus file {path}")
+    version = r.u32()
+    if version == CORPUS_VERSION:
+        split = _read_v2(r)
+    elif version == 1:
+        split = _read_v1(r)
+    else:
+        raise UnsupportedVersion(f"corpus format version {version}")
+    if fh.read(1):
+        raise CorruptFile(f"trailing bytes after the last document in {path}")
+    return split
 
 
 def build_split(train_raw, test_raw, max_vocab, seed):

@@ -6,6 +6,8 @@ import struct
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 
@@ -58,6 +60,11 @@ class Reader:
 
     def u32s(self, n):
         return struct.unpack(f"<{n}I", self.read(4 * n))
+
+    def array(self, dtype, n):
+        """``n`` values of the NumPy ``dtype``, as a read-only array."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.read(dtype.itemsize * n), dtype)
 
     def u64(self):
         return struct.unpack("<Q", self.read(8))[0]

@@ -48,6 +48,9 @@ ADAM_EPS = 1e-8
 # entries per block of adam_step: a block's gradient, moments, parameter
 # and two float scratch buffers (6 x 256 KiB) stay in a 2 MiB L2 cache
 ADAM_BLOCK = 32768
+# largest gradient magnitude adam_step accepts: (1 - beta2) * g * g and
+# the second moment, a weighted mean of such terms, stay below 1e305
+ADAM_GRAD_LIMIT = 1e154
 
 
 @dataclass
@@ -76,7 +79,7 @@ class AdamState:
 
     Also holds what ``adam_step`` streams the parameters through: each
     parameter's blocks of at most ``ADAM_BLOCK`` entries, each paired with
-    views of the two float and one boolean scratch buffers, allocated once.
+    views of two float scratch buffers, allocated once.
     """
 
     def __init__(self, named_arrays):
@@ -84,7 +87,7 @@ class AdamState:
         self.v = {name: np.zeros(arr.shape) for name, arr in named_arrays.items()}
         self.t = 0
         size = min(ADAM_BLOCK, max((arr.size for arr in self.m.values()), default=0))
-        scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+        scratch = (np.empty(size), np.empty(size))
         self.blocks = {}
         for name, m in self.m.items():
             self.blocks[name] = []
@@ -114,19 +117,26 @@ def adam_step(named_params, grads, state, learning_rate, batch_size=1):
     mean. Each parameter is streamed through ``state``'s blocks with the
     elementwise operations of the plain formula, in its order, so the
     result has the same bits and the step allocates no full-size array.
-    A non-finite gradient raises before any parameter or moment changes.
+    A gradient entry that is not finite, or whose magnitude exceeds
+    ``ADAM_GRAD_LIMIT``, raises before any parameter or moment changes.
     """
     for name, g in grads.items():
-        for index, _, _, finite in state.blocks[name]:
-            if not np.isfinite(g[index], out=finite).all():
-                raise NonFiniteGradient(f"parameter '{name}'")
+        for index, _, _ in state.blocks[name]:
+            gb = g[index]
+            # NaN fails both comparisons
+            if not (gb.min() >= -ADAM_GRAD_LIMIT and gb.max() <= ADAM_GRAD_LIMIT):
+                raise NonFiniteGradient(
+                    f"parameter '{name}'",
+                    detail=f"an entry is not finite or exceeds {ADAM_GRAD_LIMIT:g} in "
+                    "magnitude, beyond which Adam's second moment can overflow",
+                )
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, theta in named_params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        for index, a, b, _ in state.blocks[name]:
+        for index, a, b in state.blocks[name]:
             mb, vb = m[index], v[index]
             np.divide(g[index], batch_size, out=a)
             mb *= ADAM_BETA1
@@ -275,8 +285,7 @@ def load_checkpoint(path):
                     f"parameter '{name}' has shape {shape}, expected {want_shape}"
                 )
             count = int(np.prod(shape, dtype=np.int64))
-            arr = np.frombuffer(r.read(8 * count), dtype="<f8")
-            named[name] = arr.astype(np.float64).reshape(shape)
+            named[name] = r.array("<f8", count).astype(np.float64).reshape(shape)
         if fh.read(1):
             raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")
     return ModelParams.from_named(named, config), config

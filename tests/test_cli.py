@@ -247,14 +247,53 @@ class TestCategorizedErrors:
              "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
         corpus = tmp_path / "pre" / "corpus.savc"
         data = bytearray(corpus.read_bytes())
-        # magic, version, seed and vocabulary size, then the first token's length
-        data[24] = 0xFF
+        # the 24-byte header, whose vocabulary size sits at byte 16, and the
+        # u32 token lengths come before the first token's first byte
+        (n_vocab,) = struct.unpack("<I", data[16:20])
+        data[24 + 4 * n_vocab] = 0xFF
         corpus.write_bytes(bytes(data))
         capsys.readouterr()
         code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: CorruptFile: invalid UTF-8 string in corpus file {corpus}\n"
+
+    def test_corpus_token_id_out_of_range(self, tmp_path, corpus_dir, capsys):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
+        corpus = tmp_path / "pre" / "corpus.savc"
+        data = bytearray(corpus.read_bytes())
+        # the test split is empty, so the file ends with the last train
+        # document's last token id and the test split's document count
+        data[-8:-4] = struct.pack("<I", 20)
+        corpus.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptFile: token id 20 out of range") and str(corpus) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["represent"], ["neighbors", "--words", "cat"]],
+        ids=["represent", "neighbors"],
+    )
+    def test_checkpoint_and_corpus_vocabularies_differ(self, tmp_path, corpus_dir, capsys, argv):
+        for name, size in (("small", 10), ("large", 30)):
+            run(["--out", tmp_path / name, "preprocess", "--input", corpus_dir,
+                 "--format", "newsgroup-dirs", "--vocab-size", size, "--seed", 2])
+        run(["--out", tmp_path / "t", "train", "--corpus", tmp_path / "small" / "corpus.savc",
+             "--mode", "nvdm", "--d", 2, "--epochs", 1, "--batch-size", 4])
+        ckpt, corpus = tmp_path / "t" / "model.savm", tmp_path / "large" / "corpus.savc"
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "out", *argv, "--checkpoint", ckpt, "--corpus", corpus])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: ConfigError: checkpoint {ckpt} has a vocabulary of 10 words, "
+            f"corpus file {corpus} has 30\n"
+        )
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     def test_checkpoint_name_invalid_utf8(self, tmp_path, corpus_dir, capsys):
         run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,

@@ -1,10 +1,16 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from savae.corpus import (
     CorpusSplit,
     Document,
+    Vocabulary,
     build_split,
     build_vocabulary,
     encode_document,
@@ -15,7 +21,35 @@ from savae.corpus import (
     strip_newsgroup_metadata,
     tokenize,
 )
-from savae.errors import CorruptFile, EmptyCorpus, IoError, ParseError
+from savae.errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
+
+WRITERS = {"v2": save_corpus_file, "v1": oracles.write_corpus_file_v1}
+
+
+@st.composite
+def corpus_splits(draw):
+    """Random splits: empty, unlabelled and multi-label documents, non-ASCII
+    tokens and labels, and test splits that may be empty."""
+    tokens = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
+    counts = draw(st.lists(st.integers(1, 2**64 - 1), min_size=len(tokens), max_size=len(tokens)))
+    docs = st.builds(
+        Document,
+        ids=st.lists(st.integers(0, len(tokens) - 1), max_size=8),
+        labels=st.sets(st.text(max_size=3), max_size=3),
+    )
+    return CorpusSplit(
+        train=draw(st.lists(docs, max_size=6)),
+        test=draw(st.lists(docs, max_size=4)),
+        vocabulary=Vocabulary(tokens=tokens, counts=counts),
+        shuffle_seed=draw(st.integers(-(2**63), 2**63 - 1)),
+    )
+
+
+def _unchecked_vocabulary(tokens, counts):
+    """A Vocabulary that skips its own checks, to write a damaged file."""
+    vocab = object.__new__(Vocabulary)
+    vocab.tokens, vocab.counts = tokens, counts
+    return vocab
 
 
 class TestTokenize:
@@ -232,6 +266,74 @@ class TestCorpusFile:
         save_corpus_file(self._split(), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptFile, match="trailing bytes"):
+            load_corpus_file(path)
+
+    @pytest.mark.parametrize("version", sorted(WRITERS))
+    def test_every_proper_prefix_is_corrupt(self, tmp_path, version):
+        path = tmp_path / "corpus.savc"
+        WRITERS[version](self._split(), path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(CorruptFile):
+                load_corpus_file(path)
+
+    @given(corpus_splits())
+    @settings(max_examples=60, deadline=None)
+    def test_random_splits_round_trip(self, split):
+        with tempfile.TemporaryDirectory() as tmp:
+            for version, write in WRITERS.items():
+                path = Path(tmp) / f"{version}.savc"
+                write(split, path)
+                assert load_corpus_file(path) == split, version
+
+    def test_unknown_version(self, tmp_path):
+        path = tmp_path / "corpus.savc"
+        save_corpus_file(self._split(), path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 3)
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedVersion, match="version 3"):
+            load_corpus_file(path)
+
+    @pytest.mark.parametrize("version", sorted(WRITERS))
+    @pytest.mark.parametrize(
+        "tokens,counts,ids,match",
+        [
+            (["aa", "bb"], [2, 1], [0, 2], "token id 2 out of range"),
+            (["aa", "bb"], [2, 0], [0, 1], "bad vocabulary .* counts must be positive"),
+            (["aa", "aa"], [2, 1], [0, 1], "bad vocabulary .* duplicate tokens"),
+        ],
+        ids=["token-id", "zero-count", "duplicate-token"],
+    )
+    def test_bad_content_names_the_file(self, tmp_path, version, tokens, counts, ids, match):
+        split = CorpusSplit(
+            train=[Document(ids=ids, labels={"x"})],
+            test=[],
+            vocabulary=_unchecked_vocabulary(tokens, counts),
+            shuffle_seed=2,
+        )
+        path = tmp_path / "corpus.savc"
+        WRITERS[version](split, path)
+        with pytest.raises(CorruptFile, match=match) as info:
+            load_corpus_file(path)
+        assert str(path) in str(info.value)
+
+    def test_label_index_out_of_range(self, tmp_path):
+        split = CorpusSplit(
+            train=[Document(ids=[0], labels={"x"})],
+            test=[],
+            vocabulary=Vocabulary(tokens=["aa"], counts=[1]),
+            shuffle_seed=2,
+        )
+        path = tmp_path / "corpus.savc"
+        save_corpus_file(split, path)
+        data = bytearray(path.read_bytes())
+        # the train split ends with its one label index and one token id,
+        # then the test split's document count
+        data[-12:-8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFile, match="label index 1 out of range"):
             load_corpus_file(path)
 
     def test_bad_magic(self, tmp_path):

@@ -117,7 +117,7 @@ class TestAdamStep:
         assert state.v["p"].tobytes() == ref_v["p"].tobytes()
         assert state.t == 6
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e155, -1e155])
     def test_nonfinite_in_last_block_changes_nothing(self, bad):
         rng = np.random.default_rng(2)
         params = {"a": rng.normal(size=BLOCK + 10), "b": rng.normal(size=(2, BLOCK + 2))}
@@ -133,6 +133,17 @@ class TestAdamStep:
         after = [arr for d in (params, state.m, state.v) for arr in d.values()]
         assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
         assert state.t == 2
+
+    def test_largest_accepted_gradient_keeps_moments_finite(self):
+        limit = training.ADAM_GRAD_LIMIT
+        params = {"x": np.zeros(4)}
+        state = AdamState(params)
+        for step in range(50):
+            sign = 1.0 if step % 3 else -1.0
+            adam_step(params, {"x": np.array([limit, -limit, sign * limit, 0.0])}, state, 0.01)
+        for arr in (params["x"], state.m["x"], state.v["x"]):
+            assert np.isfinite(arr).all()
+        assert state.t == 50
 
     def test_step_allocates_no_full_size_array(self):
         def peak(shape):

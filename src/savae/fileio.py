@@ -41,15 +41,25 @@ def utf8_lines(fh, path):
 
 
 class Reader:
-    """Little-endian fields from a binary file; a short read or a string that
-    is not UTF-8 raises the exception class ``error``, naming ``source``."""
+    """Little-endian fields from a seekable binary file; a read past the end
+    of the file or a string that is not UTF-8 raises the exception class
+    ``error``, naming ``source``. The bytes left in the file are checked
+    before each read, so a damaged length field allocates nothing."""
 
     def __init__(self, fh, error, source):
         self.fh = fh
         self.error = error
         self.source = source
+        here = fh.tell()
+        self.end = fh.seek(0, os.SEEK_END)
+        fh.seek(here)
+
+    def _check_remaining(self, n):
+        if n > self.end - self.fh.tell():
+            raise self.error(f"truncated {self.source}")
 
     def read(self, n):
+        self._check_remaining(n)
         data = self.fh.read(n)
         if len(data) != n:
             raise self.error(f"truncated {self.source}")
@@ -62,9 +72,13 @@ class Reader:
         return struct.unpack(f"<{n}I", self.read(4 * n))
 
     def array(self, dtype, n):
-        """``n`` values of the NumPy ``dtype``, as a read-only array."""
+        """``n`` values of the NumPy ``dtype``, read straight into a new array."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.read(dtype.itemsize * n), dtype)
+        self._check_remaining(dtype.itemsize * n)
+        out = np.empty(n, dtype)
+        if self.fh.readinto(out) != out.nbytes:
+            raise self.error(f"truncated {self.source}")
+        return out
 
     def u64(self):
         return struct.unpack("<Q", self.read(8))[0]

@@ -7,13 +7,14 @@ the evaluation tooling.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AllDocumentsEmpty, IoError, ParseError
-from .fileio import atomic_write, utf8_lines
+from .fileio import atomic_write
 # elbo and encode are unused here; the benchmark's tracer wraps them by these names
 from .model import elbo, elbo_estimates, encode, encode_docs  # noqa: F401
 from .numerics import RngStream, perplexity
@@ -63,43 +64,121 @@ def evaluate_bound(docs, params, config, samples=None, seed=0):
     return float(totals.mean()), perplexity(-totals.sum() / words)
 
 
+def _csv_field(text):
+    """``text`` as csv.writer writes a field with QUOTE_MINIMAL."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_representations(reps, path):
-    """CSV contract: header id,labels,v0..v{d-1}; labels pipe-separated."""
+    """CSV contract: header id,labels,v0..v{d-1}; labels pipe-separated.
+
+    The file is UTF-8 with ``\\r\\n`` line ends, the labels field quoted as
+    csv.writer's QUOTE_MINIMAL does and each float written as its repr,
+    which round-trips exactly.
+    """
     if not reps:
         raise AllDocumentsEmpty("no representations to write")
-    d = len(reps[0].vector)
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "labels"] + [f"v{i}" for i in range(d)])
-        # csv writes a Python float as its repr, which round-trips exactly
-        writer.writerows(
-            [rep.doc_id, "|".join(sorted(rep.labels))]
-            + np.asarray(rep.vector, dtype=np.float64).tolist()
-            for rep in reps
-        )
+    mu = np.array([rep.vector for rep in reps], dtype=np.float64)
+    lines = [",".join(["id", "labels"] + [f"v{i}" for i in range(mu.shape[1])])]
+    lines += [
+        ",".join([str(rep.doc_id), _csv_field("|".join(sorted(rep.labels))), *map(repr, row)])
+        for rep, row in zip(reps, mu.tolist())
+    ]
+    lines.append("")
+    with atomic_write(path) as fh:
+        fh.write("\r\n".join(lines).encode("utf-8"))
 
 
 def read_representations(path):
-    """Inverse of write_representations: (ids, label sets, (n, d) matrix)."""
+    """Inverse of write_representations: (ids, label sets, (n, d) matrix).
+
+    One ``np.loadtxt`` parses the rows. Where it fails, or where the file
+    has a line that it reads but csv.reader rejects, ``_check_rows`` walks
+    the file with csv.reader to raise the first bad line's ParseError.
+    """
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such file: {path}")
-    ids, labels, rows = [], [], []
-    with path.open("rb") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
-        header = next(reader, None)
-        if header is None or header[:2] != ["id", "labels"]:
-            raise ParseError(f"bad representation header in {path}", 1)
-        d = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
-                raise ParseError(f"expected {d + 2} fields, got {len(row)}", lineno)
-            try:
-                ids.append(int(row[0]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as err:
-                raise ParseError(f"non-numeric field in {path}: {err}", lineno) from None
-            labels.append({l for l in row[1].split("|") if l})
-    if not rows:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        _check_rows(data, path)  # raises at the latest on the line that is not UTF-8
+        raise
+    lines = io.StringIO(text, newline="")
+    d = _vector_width(csv.reader(lines), path)
+    if lines.tell() == len(text):
         raise AllDocumentsEmpty(f"no representations in {path}")
-    return ids, labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
+    if _loadtxt_lenient(data):
+        _check_rows(data, path)
+    fields = np.dtype([("id", np.int64), ("labels", object), ("v", np.float64, (d,))])
+    try:
+        table = np.loadtxt(
+            lines, fields, delimiter=",", quotechar='"', comments=None, ndmin=1
+        )
+    except ValueError as err:
+        _check_rows(data, path)
+        raise ParseError(f"unreadable representations in {path}: {err}") from None
+    labels = [{l for l in field.split("|") if l} for field in table["labels"].tolist()]
+    return table["id"].tolist(), labels, np.ascontiguousarray(table["v"])
+
+
+def _vector_width(reader, path):
+    header = next(reader, None)
+    if header is None or header[:2] != ["id", "labels"]:
+        raise ParseError(f"bad representation header in {path}", 1)
+    return len(header) - 2
+
+
+def _loadtxt_lenient(data):
+    """Whether ``data`` has a blank line, which np.loadtxt skips, or a byte
+    0x1c-0x1f, which it strips around a number; csv.reader and float()
+    reject both."""
+    raw = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(raw < 0x20)
+    ctrl = raw[at]
+    if (ctrl >= 0x1C).any():
+        return True
+    ends = at[(ctrl == 0x0A) | (ctrl == 0x0D)]
+    # two adjacent line ends other than one "\r\n" close a blank line
+    pairs = ends[:-1][np.diff(ends) == 1]
+    return bool(((raw[pairs] != 0x0D) | (raw[pairs + 1] != 0x0A)).any())
+
+
+def _text_lines(data, path):
+    """Lines of ``data`` as io.StringIO(newline="") splits them; a ParseError
+    at the first line (counted by ``\\n``) that is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        good = data.rfind(b"\n", 0, err.start) + 1
+        yield from io.StringIO(data[:good].decode("utf-8"), newline="")
+        raise ParseError(f"invalid UTF-8 in {path}", data.count(b"\n", 0, good) + 1) from None
+    yield from io.StringIO(text, newline="")
+
+
+def _check_rows(data, path):
+    """Raise the ParseError of the first bad line of the representation CSV
+    ``data``: a wrong field count, a number that int() or float() rejects,
+    or one that np.loadtxt rejects (digit separators, non-ASCII digits, ids
+    outside int64). Lines are counted as rows, the header being line 1."""
+    reader = csv.reader(_text_lines(data, path))
+    d = _vector_width(reader, path)
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 2:
+            raise ParseError(f"expected {d + 2} fields, got {len(row)}", lineno)
+        try:
+            doc_id = int(row[0])
+            for v in row[2:]:
+                float(v)
+        except ValueError as err:
+            raise ParseError(f"non-numeric field in {path}: {err}", lineno) from None
+        for v in [row[0], *row[2:]]:
+            if "_" in v or not v.strip().isascii():
+                raise ParseError(
+                    f"number {v!r} in {path} has a '_' or a non-ASCII character", lineno
+                )
+        if not -(2**63) <= doc_id < 2**63:
+            raise ParseError(f"id {doc_id} outside the int64 range in {path}", lineno)

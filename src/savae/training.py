@@ -285,7 +285,7 @@ def load_checkpoint(path):
                     f"parameter '{name}' has shape {shape}, expected {want_shape}"
                 )
             count = int(np.prod(shape, dtype=np.int64))
-            named[name] = r.array("<f8", count).astype(np.float64).reshape(shape)
+            named[name] = r.array("<f8", count).astype(np.float64, copy=False).reshape(shape)
         if fh.read(1):
             raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")
     return ModelParams.from_named(named, config), config

@@ -4,6 +4,7 @@ Everything here is written loop-by-loop from the defining formulas and
 shares no code with the package internals it checks.
 """
 
+import csv
 import math
 import struct
 from decimal import Decimal, localcontext
@@ -400,3 +401,29 @@ def write_corpus_file_v1(split, path):
             fh.write(struct.pack("<Q", cnt))
         _write_docs(fh, split.train)
         _write_docs(fh, split.test)
+
+
+def write_representations_csv(reps, path):
+    """A representation CSV through csv.writer: header id,labels,v0..v{d-1},
+    labels joined by "|", each float as csv writes it (its repr)."""
+    d = len(reps[0].vector)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "labels"] + [f"v{i}" for i in range(d)])
+        for rep in reps:
+            writer.writerow(
+                [rep.doc_id, "|".join(sorted(rep.labels))] + [float(v) for v in rep.vector]
+            )
+
+
+def read_representations_csv(path):
+    """(ids, label sets, (n, d) matrix) of a representation CSV, row by row
+    through csv.reader, int() and float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    d = len(rows[0]) - 2
+    body = rows[1:]
+    ids = [int(row[0]) for row in body]
+    labels = [{label for label in row[1].split("|") if label} for row in body]
+    vectors = [[float(v) for v in row[2:]] for row in body]
+    return ids, labels, np.array(vectors, dtype=np.float64).reshape(len(body), d)

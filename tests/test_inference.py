@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model, tiny_config, zero_model
-from oracles import encoder_posterior, naive_doc_log_likelihoods
+from oracles import (
+    encoder_posterior,
+    naive_doc_log_likelihoods,
+    read_representations_csv,
+    write_representations_csv,
+)
 from savae import inference
 from savae.corpus import Document
 from savae.errors import AllDocumentsEmpty, ParseError
@@ -36,6 +41,32 @@ def block_cases(draw):
         docs.append(Document(ids=rng.integers(0, m, size=length).tolist(), labels={f"l{i % 3}"}))
     config = ModelConfig(mode=mode, m=m, d=2, k=2, encoder_layers=(5, 4))
     return config, random_model(config, seed=seed % 1000), docs
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-17, 1e16, 1e22, 0.1 + 0.2, 2 / 3,
+    1.7976931348623157e308, np.inf, -np.inf, np.nan,
+]
+# pieces the csv module must quote, escape or keep, and a blank line
+# (loadtxt skips one) and a 0x1c byte (loadtxt strips one around a number)
+# inside a quoted label
+LABEL_PIECES = [",", '"', "\r\n", "\r", "\n", "\n\n", "#", " ", "x", "yz", "é", "猫", "\x1c"]
+
+
+@st.composite
+def representation_lists(draw):
+    d = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    labels = st.lists(st.sampled_from(LABEL_PIECES), max_size=4).map("".join) | st.text(max_size=4)
+    return [
+        DocRepresentation(
+            vector=np.array(draw(st.lists(floats, min_size=d, max_size=d)), dtype=np.float64),
+            labels=draw(st.sets(labels, max_size=3)),
+            doc_id=draw(st.integers(-(2**63), 2**63 - 1)),
+        )
+        for _ in range(n)
+    ]
 
 
 class TestRepresent:
@@ -210,6 +241,152 @@ class TestRepresentationCsv:
             write_representations(reps, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["reps.csv"]
+
+    @given(representation_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_csv_module_oracle(self, tmp_path_factory, reps):
+        tmp = tmp_path_factory.mktemp("reps")
+        ours, oracle = tmp / "ours.csv", tmp / "oracle.csv"
+        write_representations(reps, ours)
+        write_representations_csv(reps, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        ids, labels, mat = read_representations(oracle)
+        want_ids, want_labels, want_mat = read_representations_csv(oracle)
+        assert ids == want_ids and labels == want_labels
+        assert mat.dtype == np.float64 and mat.shape == want_mat.shape
+        assert mat.tobytes() == want_mat.tobytes()
+
+    def test_bare_carriage_return_ends_a_line(self, tmp_path):
+        path = tmp_path / "reps.csv"
+        path.write_bytes(b"id,labels,v0\r0,a,1.0\r1,b,2.0\n")
+        ids, labels, mat = read_representations(path)
+        assert ids == [0, 1] and labels == [{"a"}, {"b"}]
+        np.testing.assert_array_equal(mat, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            pytest.param(
+                b"id,labels,v0\n0,a,1.0\n1,b,2.0,3.0\n",
+                ParseError, "line 3: expected 3 fields, got 4", id="extra-field",
+            ),
+            pytest.param(
+                b"id,labels,v0,v1\r\n0,a,1.0,2.0\r\n1,b,2.0\r\n",
+                ParseError, "line 3: expected 4 fields, got 3", id="missing-field",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,0.5\n1,a,notanumber\n",
+                ParseError,
+                "line 3: non-numeric field in {path}: could not convert string to float: "
+                "'notanumber'",
+                id="non-numeric-vector-field",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,0.5\n1.0,a,1.5\n",
+                ParseError,
+                "line 3: non-numeric field in {path}: invalid literal for int() with base 10: "
+                "'1.0'",
+                id="non-integer-id",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,0.5\n\n1,a,1.5\n",
+                ParseError, "line 3: expected 3 fields, got 0", id="blank-line",
+            ),
+            pytest.param(
+                b"id,labels,v0\r\n0,a,0.5\r\n\r\n1,a,1.5\r\n",
+                ParseError, "line 3: expected 3 fields, got 0", id="blank-crlf-line",
+            ),
+            pytest.param(
+                b"id,labels,v0\r\n\r\n0,a,0.5\r\n",
+                ParseError, "line 2: expected 3 fields, got 0", id="blank-line-after-header",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,0.5\n\n",
+                ParseError, "line 3: expected 3 fields, got 0", id="trailing-blank-line",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,0.5\n \n",
+                ParseError, "line 3: expected 3 fields, got 1", id="whitespace-line",
+            ),
+            pytest.param(
+                b'id,labels,v0\n0,"a,1.0\n1,b,2.0\n',
+                ParseError, "line 2: expected 3 fields, got 2", id="unterminated-quote",
+            ),
+            # lines are counted as rows, so a quoted line end does not count
+            pytest.param(
+                b'id,labels,v0\n0,"a\nb",1.0\n1,b,2.0,3.0\n',
+                ParseError, "line 3: expected 3 fields, got 4", id="quoted-line-end",
+            ),
+            pytest.param(
+                b"id,labels,v0\r\n",
+                AllDocumentsEmpty, "no representations in {path}", id="header-only",
+            ),
+            pytest.param(
+                b"id,labels,v0",
+                AllDocumentsEmpty, "no representations in {path}",
+                id="header-only-without-line-end",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,1.0\n1,b\xff,0.5\n",
+                ParseError, "line 3: invalid UTF-8 in {path}", id="invalid-utf8",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,x\n1,b\xff,0.5\n",
+                ParseError,
+                "line 2: non-numeric field in {path}: could not convert string to float: 'x'",
+                id="bad-line-before-invalid-utf8",
+            ),
+            pytest.param(
+                b"id,lab\xffels,v0\n0,a,1.0\n",
+                ParseError, "line 1: invalid UTF-8 in {path}", id="invalid-utf8-in-header",
+            ),
+            pytest.param(
+                b"nope,labels,v0\n1,a,0.5\n",
+                ParseError, "line 1: bad representation header in {path}", id="bad-header",
+            ),
+            pytest.param(
+                b"",
+                ParseError, "line 1: bad representation header in {path}", id="empty-file",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,\x1c1.0\n",
+                ParseError,
+                "line 2: non-numeric field in {path}: could not convert string to float: "
+                "'\\x1c1.0'",
+                id="separator-byte-in-number",
+            ),
+            # float() and int() accept these; numpy's parser does not
+            pytest.param(
+                b"id,labels,v0\n0,a,1.0\n1,a,1_0\n",
+                ParseError, "line 3: number '1_0' in {path} has a '_' or a non-ASCII character",
+                id="digit-separator-in-vector",
+            ),
+            pytest.param(
+                b"id,labels,v0\n1_0,a,1.0\n",
+                ParseError, "line 2: number '1_0' in {path} has a '_' or a non-ASCII character",
+                id="digit-separator-in-id",
+            ),
+            pytest.param(
+                "id,labels,v0\n0,a,٣\n".encode(),
+                ParseError,
+                "line 2: number '٣' in {path} has a '_' or a non-ASCII character",
+                id="non-ascii-digit",
+            ),
+            pytest.param(
+                b"id,labels,v0\n0,a,1.0\n99999999999999999999,a,1.0\n",
+                ParseError, "line 3: id 99999999999999999999 outside the int64 range in {path}",
+                id="id-past-int64",
+            ),
+        ],
+    )
+    def test_malformed_file_error(self, tmp_path, content, error, message):
+        path = tmp_path / "reps.csv"
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                read_representations(path)
+        assert str(info.value) == message.format(path=path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "reps.csv"

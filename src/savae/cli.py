@@ -1,9 +1,10 @@
 """Command-line pipeline driver.
 
-Subcommands: preprocess, train, represent, eval-retrieval, eval-cluster,
-neighbors, probe. Settings come from an optional key=value config file
-(dotted keys, e.g. ``model.d=50``) overridden by flags; the effective
-configuration is echoed to a run manifest in the output directory.
+Subcommands: preprocess, train, represent, eval-bound, eval-retrieval,
+eval-cluster, neighbors, probe. Settings come from an optional key=value
+config file (dotted keys, e.g. ``model.d=50``) overridden by flags; the
+effective configuration is echoed to a run manifest in the output
+directory.
 
 The SAVAE_THREADS environment variable bounds the BLAS worker count.
 """
@@ -249,6 +250,33 @@ def cmd_represent(args, cfg):
     )
 
 
+def cmd_eval_bound(args, cfg):
+    out = _out_dir(args)
+    cfg.override("model.eval_samples", args.samples)
+    samples = cfg.get("model.eval_samples", int)
+    if samples < 1:
+        raise ConfigError(f"model.eval_samples must be >= 1, got {samples}")
+    params, model_config, split = _load_model_and_corpus(args)
+    docs = split.train if args.split == "train" else split.test
+    mean_elbo, ppl = inference.evaluate_bound(
+        docs, params, model_config, samples=samples, seed=cfg.get("seed", int)
+    )
+    kept = [doc for doc in docs if not doc.is_empty]
+    report = (
+        f"split={args.split}\ndocuments={len(kept)}\nwords={sum(doc.length for doc in kept)}\n"
+        f"mean_elbo={mean_elbo:.6f}\nperplexity={ppl:.6f}\n"
+    )
+    path = out / "bound.txt"
+    _write_text(path, report)
+    print(report, end="")
+    _write_manifest(
+        out,
+        cfg,
+        {"command": "eval-bound", "checkpoint": args.checkpoint, "corpus": args.corpus,
+         "split": args.split, "output": str(path), "empty_skipped": len(docs) - len(kept)},
+    )
+
+
 def _read_matching_representations(first, second):
     """Both representation CSVs; their vectors must have the same width."""
     a, b = inference.read_representations(first), inference.read_representations(second)
@@ -385,6 +413,14 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.set_defaults(func=cmd_represent)
+
+    p = sub.add_parser("eval-bound", parents=[common],
+                       help="held-out ELBO and perplexity of a checkpoint on a corpus split")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--split", choices=["train", "test"], default="test")
+    p.add_argument("--samples", type=int, help="posterior samples per document")
+    p.set_defaults(func=cmd_eval_bound)
 
     p = sub.add_parser("eval-retrieval", parents=[common], help="precision-recall retrieval evaluation")
     p.add_argument("--queries", required=True)

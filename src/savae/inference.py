@@ -8,6 +8,7 @@ the evaluation tooling.
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def read_representations(path):
         _check_rows(data, path)  # raises at the latest on the line that is not UTF-8
         raise
     lines = io.StringIO(text, newline="")
-    d = _vector_width(csv.reader(lines), path)
+    d = _vector_width(_numbered_rows(csv.reader(lines), path), path)
     if lines.tell() == len(text):
         raise AllDocumentsEmpty(f"no representations in {path}")
     if _loadtxt_lenient(data):
@@ -125,8 +126,22 @@ def read_representations(path):
     return table["id"].tolist(), labels, np.ascontiguousarray(table["v"])
 
 
-def _vector_width(reader, path):
-    header = next(reader, None)
+def _numbered_rows(reader, path):
+    """(line, row) pairs of csv.reader ``reader``, lines counted as rows
+    from 1; a csv.Error (a field over the csv module's size limit, say) is
+    a ParseError naming the row it stopped at."""
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise ParseError(f"unreadable CSV row in {path}: {err}", lineno) from None
+        yield lineno, row
+
+
+def _vector_width(rows, path):
+    _, header = next(rows, (1, None))
     if header is None or header[:2] != ["id", "labels"]:
         raise ParseError(f"bad representation header in {path}", 1)
     return len(header) - 2
@@ -164,9 +179,9 @@ def _check_rows(data, path):
     ``data``: a wrong field count, a number that int() or float() rejects,
     or one that np.loadtxt rejects (digit separators, non-ASCII digits, ids
     outside int64). Lines are counted as rows, the header being line 1."""
-    reader = csv.reader(_text_lines(data, path))
-    d = _vector_width(reader, path)
-    for lineno, row in enumerate(reader, start=2):
+    rows = _numbered_rows(csv.reader(_text_lines(data, path)), path)
+    d = _vector_width(rows, path)
+    for lineno, row in rows:
         if len(row) != d + 2:
             raise ParseError(f"expected {d + 2} fields, got {len(row)}", lineno)
         try:

@@ -14,11 +14,15 @@ Every decoder logit splits into a z part, shared by all positions of a
 document, and a position part from the local context (absent in nvdm
 mode). Training and evaluation both use the split:
 
-- Evaluation scores a document under S posterior samples at once. In
-  savae mode the S x l softmax normalisers come from one GEMM of
+- Evaluation scores each document under S posterior samples, on the
+  packed layout that training uses: concatenated ids plus lengths, with
+  one local-context pass over all documents. Consecutive documents are
+  grouped into blocks of at most ``_ROW_BLOCK`` positions and z rows, and
+  each block takes its z parts and position parts from one GEMM each. In
+  savae mode a document's S x l softmax normalisers come from one GEMM of
   exponentials rather than from an (S, l, m) logit tensor; pairs whose
   factored sum underflows are recomputed directly (see
-  ``doc_log_likelihoods``).
+  ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
@@ -305,6 +309,36 @@ def _bag_of_words_log_likelihoods(logits, counts, length):
 def doc_log_likelihoods(ids, Z, params, config):
     """log p(doc | z) for each row z of Z; returns shape (S,).
 
+    The one-document call of ``_packed_log_likelihoods``, which has the
+    derivation.
+    """
+    return _packed_log_likelihoods(ids, [len(ids)], Z, [len(Z)], params, config)
+
+
+def _doc_blocks(lengths, samples):
+    """(first, stop) ranges of consecutive documents, each with at most
+    ``_ROW_BLOCK`` positions and ``_ROW_BLOCK`` z rows; a document over
+    either limit is a block of its own."""
+    blocks = []
+    first = positions = rows = 0
+    for i, (length, s) in enumerate(zip(lengths, samples)):
+        if i > first and (positions + length > _ROW_BLOCK or rows + s > _ROW_BLOCK):
+            blocks.append((first, i))
+            first, positions, rows = i, 0, 0
+        positions += length
+        rows += s
+    blocks.append((first, len(lengths)))
+    return blocks
+
+
+def _packed_log_likelihoods(ids, lengths, Z, samples, params, config):
+    """log p(doc | z) for every row of Z, over concatenated documents.
+
+    ``ids`` holds documents of ``lengths`` tokens back to back, and document
+    i owns the next ``samples[i]`` rows of Z. Documents are scored in the
+    blocks of ``_doc_blocks``, and a row's last bits can change with the
+    other documents of its block.
+
     In savae mode every logit splits into a sample part and a position
     part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
     ``z_part = Z X_z^T + b`` and ``pos_part = H X_local^T``, so with the
@@ -313,61 +347,115 @@ def doc_log_likelihoods(ids, Z, params, config):
         sum_j exp(logits[s, t, j] - zmax[s] - pmax[t])
             = (exp(z_part - zmax) @ exp(pos_part - pmax).T)[s, t]:
 
-    (S + l) * m exps and one (S, m) x (m, l) GEMM give every softmax
-    normaliser, and the (S, l, m) logits are never formed. The shared
-    shifts can underflow the product for a pair whose two argmaxes
-    disagree by hundreds of nats; those pairs, and only those, are
-    recomputed by the direct log-sum-exp over their m logits.
+    a block takes its z parts and its position parts from one GEMM each,
+    exps them in place, and each document's S x l softmax normalisers come
+    from one (S, m) x (m, l) GEMM; the (S, l, m) logits are never formed.
+    The shared shifts can underflow the product for a pair whose two
+    argmaxes disagree by hundreds of nats; those pairs, and only those,
+    are recomputed by the direct log-sum-exp over their m logits.
 
     In nvdm mode the position dimension collapses, so the likelihood
     accumulates through word counts; this makes the result exactly
-    invariant to permutations of ids.
+    invariant to permutations of a document's ids.
     """
-    targets = np.asarray(ids, dtype=np.intp)
-    if config.mode == NVDM:
-        logits = Z @ params.X.T + params.b  # (S, m)
-        return _bag_of_words_log_likelihoods(logits, bow_counts(ids, config.m), len(ids))[0]
-    d = config.d
-    H, _ = _local_contexts(ids, [len(ids)], params, config)
-    X_local = params.X[:, d:]
-    z_part = Z @ params.X[:, :d].T
-    z_part += params.b  # (S, m): S * m adds here, l * m on pos_part
-    pos_part = H @ X_local.T  # (l, m)
-    picked = z_part[:, targets] + pos_part[np.arange(len(targets)), targets]
-    zmax = z_part.max(axis=1, keepdims=True)
-    pmax = pos_part.max(axis=1, keepdims=True)
-    # pos_part becomes its exps in place: a fresh (l, m) array costs more
-    # in page faults than the exps themselves
-    np.exp(np.subtract(pos_part, pmax, out=pos_part), out=pos_part)
-    sums = np.exp(z_part - zmax) @ pos_part.T  # (S, l)
-    shift = zmax + pmax.T
-    # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
-    # underflow, even where subnormals are flushed to zero, so a sum of at
-    # least m * tiny / eps has lost at most one ulp. Smaller sums mean a
-    # term far below the pair's true maximum carried the shifts; redo them.
+    ids = np.asarray(ids, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    samples = np.asarray(samples, dtype=np.intp)
+    m, d = config.m, config.d
+    t_start = np.cumsum(lengths) - lengths
+    z_start = np.cumsum(samples) - samples
+    blocks = _doc_blocks(lengths, samples)
+    rows_max = max(samples[a:b].sum() for a, b in blocks)
+    # the GEMMs run faster on a contiguous copy of X^T
+    X_T = np.ascontiguousarray(params.X.T)
+    X_z_T = X_T[:d]
+    z_part_buf = np.empty((rows_max, m))
+    out = np.empty(len(Z))
+    if config.mode == SAVAE:
+        H, _ = _local_contexts(ids, lengths, params, config)
+        X_local_T = X_T[d:]
+        pos_part_buf = np.empty((max(lengths[a:b].sum() for a, b in blocks), m))
     f64 = np.finfo(np.float64)
-    low = sums < config.m * f64.tiny / f64.eps
-    if low.any():
-        s, t = np.nonzero(low)
-        sums[low] = 1.0
-        shift[low] = _logsumexp_rows(z_part[s] + H[t] @ X_local.T)
-    lse = np.log(sums) + shift
-    return (picked - lse).sum(axis=1)
+    for a, b in blocks:
+        r0, r1 = z_start[a], z_start[b - 1] + samples[b - 1]
+        t0, t1 = t_start[a], t_start[b - 1] + lengths[b - 1]
+        z_part = np.matmul(Z[r0:r1], X_z_T, out=z_part_buf[: r1 - r0])
+        z_part += params.b  # rows * m adds here, positions * m on pos_part
+        targets = ids[t0:t1]
+        if config.mode == NVDM:
+            doc = np.repeat(np.arange(b - a), lengths[a:b])
+            counts = np.bincount(doc * m + targets, minlength=(b - a) * m)
+            counts = counts.reshape(b - a, m).astype(np.float64)
+            out[r0:r1] = _bag_of_words_log_likelihoods(
+                z_part,
+                np.repeat(counts, samples[a:b], axis=0),
+                np.repeat(lengths[a:b], samples[a:b]),
+            )[0]
+            continue
+        pos_part = np.matmul(H[t0:t1], X_local_T, out=pos_part_buf[: t1 - t0])
+        # pair (s, t) of each document at row-major offsets within the block:
+        # z row s of the block owns the next ``row_len[s]`` pairs from row_first[s]
+        row_len = np.repeat(lengths[a:b], samples[a:b])
+        row_first = np.cumsum(row_len) - row_len
+        pair_z = np.repeat(np.arange(r1 - r0), row_len)
+        pair_t = np.arange(len(pair_z)) + np.repeat(
+            np.repeat(t_start[a:b] - t0, samples[a:b]) - row_first, row_len
+        )
+        # the picked logits, gathered before both parts become their exps
+        picked = np.take(z_part, pair_z * m + targets[pair_t])
+        picked += pos_part[np.arange(t1 - t0), targets][pair_t]
+        zmax = z_part.max(axis=1)
+        pmax = pos_part.max(axis=1)
+        np.exp(np.subtract(z_part, zmax[:, None], out=z_part), out=z_part)
+        np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
+        sums = np.empty(len(pair_z))
+        for i in range(a, b):
+            zs = z_start[i] - r0
+            ts = t_start[i] - t0
+            pairs = sums[row_first[zs] : row_first[zs] + samples[i] * lengths[i]]
+            np.matmul(
+                z_part[zs : zs + samples[i]],
+                pos_part[ts : ts + lengths[i]].T,
+                out=pairs.reshape(samples[i], lengths[i]),
+            )
+        shift = zmax[pair_z] + pmax[pair_t]
+        # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
+        # underflow, even where subnormals are flushed to zero, so a sum of
+        # at least m * tiny / eps has lost at most one ulp. Smaller sums mean
+        # a term far below the pair's true maximum carried the shifts; redo
+        # them.
+        low = np.flatnonzero(sums < m * f64.tiny / f64.eps)
+        if len(low):
+            sums[low] = 1.0
+            z_rows = Z[r0 + pair_z[low]] @ X_z_T + params.b
+            shift[low] = _logsumexp_rows(z_rows + H[t0 + pair_t[low]] @ X_local_T)
+        picked -= np.log(sums) + shift
+        out[r0:r1] = np.add.reduceat(picked, row_first)
+    return out
 
 
 def elbo_estimates(docs, params, config, eps_list):
     """Monte-Carlo ELBO of each document; ``eps_list[i]`` holds document i's
-    (S, d) standard-normal draws. The posteriors come from one ``encode_docs``."""
+    (S_i, d) standard-normal draws. The posteriors come from one
+    ``encode_docs`` and the likelihoods from one ``_packed_log_likelihoods``."""
+    if len(eps_list) != len(docs):
+        raise ValueError(f"{len(docs)} documents but {len(eps_list)} eps arrays")
+    if not docs:
+        return []
     if any(doc.length == 0 for doc in docs):
         raise EmptyDocument("cannot evaluate an empty document")
     mu, log_var = encode_docs(docs, params, config)
     kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))
-    estimates = []
-    for doc, eps, mu_i, log_var_i, kl_i in zip(docs, eps_list, mu, log_var, kl, strict=True):
-        Z = mu_i + np.exp(0.5 * log_var_i) * eps
-        ll = doc_log_likelihoods(doc.ids, Z, params, config)
-        estimates.append(ElboEstimate(float(ll.mean()), float(kl_i)))
-    return estimates
+    samples = [len(eps) for eps in eps_list]
+    owner = np.repeat(np.arange(len(docs)), samples)
+    Z = mu[owner] + np.exp(0.5 * log_var)[owner] * np.concatenate(eps_list)
+    ids = np.concatenate([np.asarray(doc.ids, dtype=np.intp) for doc in docs])
+    ll = _packed_log_likelihoods(ids, [doc.length for doc in docs], Z, samples, params, config)
+    first = np.cumsum(samples) - samples
+    return [
+        ElboEstimate(float(ll[f : f + s].mean()), float(kl_i))
+        for f, s, kl_i in zip(first, samples, kl)
+    ]
 
 
 def elbo(doc, params, config, rng, samples=1):

@@ -126,6 +126,57 @@ class TestPipeline:
         capsys.readouterr()
 
 
+class TestEvalBound:
+    def _fit(self, tmp_path, corpus_dir, test_fraction):
+        run(["--out", tmp_path / "pre", "preprocess", "--input", corpus_dir,
+             "--format", "newsgroup-dirs", "--vocab-size", 20,
+             "--test-fraction", test_fraction, "--seed", 2])
+        corpus = tmp_path / "pre" / "corpus.savc"
+        run(["--out", tmp_path / "t", "train", "--corpus", corpus, "--mode", "savae",
+             "--d", 2, "--k", 2, "--epochs", 1, "--batch-size", 4])
+        return tmp_path / "t" / "model.savm", corpus
+
+    def test_zero_model_perplexity_is_vocabulary_size(self, tmp_path, corpus_dir, capsys):
+        ckpt, corpus = self._fit(tmp_path, corpus_dir, "0.25")
+        params, config = training.load_checkpoint(ckpt)
+        for arr in params.named_arrays().values():
+            arr[...] = 0.0
+        training.save_checkpoint(params, config, ckpt)
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "b", "eval-bound", "--checkpoint", ckpt,
+                    "--corpus", corpus, "--samples", 3]) == 0
+        report = dict(line.split("=", 1) for line in
+                      (tmp_path / "b" / "bound.txt").read_text().splitlines())
+        test = load_corpus_file(corpus).test
+        assert report["split"] == "test"
+        assert int(report["documents"]) == sum(not doc.is_empty for doc in test) > 0
+        assert int(report["words"]) == sum(doc.length for doc in test)
+        assert float(report["perplexity"]) == pytest.approx(config.m, rel=1e-6)
+        words = int(report["words"]) / int(report["documents"])
+        assert float(report["mean_elbo"]) == pytest.approx(-words * np.log(config.m), rel=1e-6)
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("split=test\n") and "command=eval-bound" in stdout
+        manifest = (tmp_path / "b" / "manifest.txt").read_text()
+        assert "model.eval_samples=3" in manifest and "command=eval-bound" in manifest
+
+    def test_zero_samples(self, tmp_path, corpus_dir, capsys):
+        ckpt, corpus = self._fit(tmp_path, corpus_dir, "0.25")
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "b", "eval-bound", "--checkpoint", ckpt,
+                    "--corpus", corpus, "--samples", 0]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: model.eval_samples must be >= 1, got 0\n"
+        )
+
+    def test_empty_split(self, tmp_path, corpus_dir, capsys):
+        ckpt, corpus = self._fit(tmp_path, corpus_dir, "0")
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "b", "eval-bound", "--checkpoint", ckpt,
+                    "--corpus", corpus]) == 1
+        assert capsys.readouterr().err.startswith("error: AllDocumentsEmpty:")
+        assert not (tmp_path / "b" / "bound.txt").exists()
+
+
 class TestProbeCommand:
     def test_probe_on_separable_reps(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -275,8 +326,8 @@ class TestCategorizedErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["represent"], ["neighbors", "--words", "cat"]],
-        ids=["represent", "neighbors"],
+        [["represent"], ["neighbors", "--words", "cat"], ["eval-bound"]],
+        ids=["represent", "neighbors", "eval-bound"],
     )
     def test_checkpoint_and_corpus_vocabularies_differ(self, tmp_path, corpus_dir, capsys, argv):
         for name, size in (("small", 10), ("large", 30)):
@@ -333,6 +384,17 @@ class TestCategorizedErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: line 3:") and "notanumber" in err
+
+    def test_field_over_the_csv_module_limit(self, tmp_path, capsys):
+        # np.loadtxt reads the long label but not the row with an extra
+        # field; the csv walk that names the bad row stops at the long field
+        path = tmp_path / "reps.csv"
+        path.write_text("id,labels,v0\n0," + "x" * 200_000 + ",0.5\n1,a,0.5,9\n")
+        code = run(["--out", tmp_path / "clu", "eval-cluster", "--reps", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: line 2:") and "field limit" in err
+        assert err.count("\n") == 1
 
     def test_probe_row_without_label(self, tmp_path, capsys):
         _write_reps(tmp_path / "train.csv", [({"neg"}, [-1.0]), ({"pos"}, [1.0])])

@@ -1,7 +1,7 @@
 """Document representations and evaluation-time bounds from a frozen model.
 
 A document's representation is the posterior mean mu, from one encoder pass
-over blocks of 256 documents; the evaluation bound uses multi-sample ELBO
+over blocks of 64 documents; the evaluation bound uses multi-sample ELBO
 estimates. Representations round-trip through a CSV contract consumed by
 the evaluation tooling.
 """

@@ -32,6 +32,16 @@ def zero_model(config):
     return params
 
 
+def overflowing_log_variance():
+    """(config, params, docs): an nvdm model whose log-variance for its one
+    260-token document, about 741.3, passes log(float max)."""
+    config = ModelConfig(mode="nvdm", m=1, d=1, encoder_layers=(3,))
+    params = zero_model(config)
+    params.enc_W[0][:] = [[1.185, 1.096, 0.484]]
+    params.W_logvar[:] = [[1.034], [1.071], [0.934]]
+    return config, params, [Document(ids=[0] * 260)]
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(12345)

@@ -194,6 +194,11 @@ def next_word_log_prob(word, z, h, params, config):
     return float(log_softmax(params.X @ ctx + params.b)[word])
 
 
+def bow_counts(ids, m):
+    """Raw word-count vector of a document; the encoder input."""
+    return np.bincount(np.asarray(ids, dtype=np.intp), minlength=m).astype(np.float64)
+
+
 def encoder_posterior(ids, params):
     """q(z|doc) as ``mu``/``log_var`` from a plain ReLU MLP over word counts.
 

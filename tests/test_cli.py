@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import overflowing_log_variance
 from savae import model, training
-from savae.corpus import load_corpus_file
+from savae.corpus import CorpusSplit, Vocabulary, load_corpus_file, save_corpus_file
 from savae.cli import main, read_config_file
 from savae.inference import DocRepresentation, write_representations
 
@@ -174,6 +175,20 @@ class TestEvalBound:
         assert run(["--out", tmp_path / "b", "eval-bound", "--checkpoint", ckpt,
                     "--corpus", corpus]) == 1
         assert capsys.readouterr().err.startswith("error: AllDocumentsEmpty:")
+        assert not (tmp_path / "b" / "bound.txt").exists()
+
+    def test_log_variance_overflow(self, tmp_path, capsys):
+        config, params, docs = overflowing_log_variance()
+        split = CorpusSplit(train=docs, test=docs, vocabulary=Vocabulary(["cat"], [260]),
+                            shuffle_seed=0)
+        save_corpus_file(split, tmp_path / "corpus.savc")
+        training.save_checkpoint(params, config, tmp_path / "model.savm")
+        assert run(["--out", tmp_path / "b", "eval-bound", "--checkpoint", tmp_path / "model.savm",
+                    "--corpus", tmp_path / "corpus.savc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteGradient: non-finite gradient in encoder log-variance (evaluation): "
+            "entry 741.302 exceeds log(float64 max) = 709.783, where exp overflows\n"
+        )
         assert not (tmp_path / "b" / "bound.txt").exists()
 
 

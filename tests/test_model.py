@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_doc, random_model, tiny_config, zero_model
+from conftest import overflowing_log_variance, random_doc, random_model, tiny_config, zero_model
 from oracles import (
+    bow_counts,
     dense_batch_elbo_gradients,
     elbo_with_fixed_eps,
+    encoder_posterior,
     exact_doc_log_likelihoods,
     finite_difference_grads,
     local_context,
@@ -16,11 +20,10 @@ from oracles import (
 )
 from savae import model
 from savae.corpus import Document
-from savae.errors import EmptyDocument
+from savae.errors import EmptyDocument, NonFiniteGradient
 from savae.model import (
     ModelConfig,
     batch_elbo_gradients,
-    bow_counts,
     doc_log_likelihoods,
     elbo,
     elbo_estimates,
@@ -70,6 +73,40 @@ class TestInitParams:
             assert arr.shape == expected_shapes(cfg)[name], name
 
 
+@st.composite
+def encoder_blocks(draw):
+    """(config, params, docs, kinds): blocks of ``_ENCODER_BLOCK`` documents,
+    the last one partial, each of a drawn kind. An "all" block holds every
+    word of the vocabulary, so it takes the dense product; a "single" block
+    repeats one word, 0 or m - 1; a "sparse" block draws from at most half
+    of the words, 0 and m - 1 among them. Restricted blocks come first,
+    then an "all" block, then up to five blocks of any kind, some of which
+    the widened dense block takes in. Documents have 1 to 12 tokens, so
+    words repeat."""
+    m = draw(st.integers(4, 40))
+    seed = draw(st.integers(0, 2**16))
+    kinds = draw(st.permutations(["single", "sparse"]))
+    kinds += draw(st.lists(st.sampled_from(["single", "sparse"]), max_size=1)) + ["all"]
+    kinds += draw(st.lists(st.sampled_from(["all", "single", "sparse"]), max_size=5))
+    tail = draw(st.integers(1, model._ENCODER_BLOCK - 1))
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i, kind in enumerate(kinds):
+        n = tail if i == len(kinds) - 1 else model._ENCODER_BLOCK
+        if kind == "all":
+            vocab = np.arange(m)
+        elif kind == "single":
+            vocab = np.array([rng.choice([0, m - 1])])
+        else:
+            vocab = np.concatenate([[0, m - 1], rng.choice(np.arange(1, m - 1), m // 2 - 2)])
+        block = [rng.choice(vocab, rng.integers(1, 13)) for _ in range(n)]
+        block[0] = np.concatenate([block[0], vocab, vocab[:1]])
+        rng.shuffle(block)
+        docs += [Document(ids=ids.tolist()) for ids in block]
+    config = ModelConfig(mode="nvdm", m=m, d=2, encoder_layers=(5, 4))
+    return config, random_model(config, seed=seed), docs, kinds
+
+
 class TestEncode:
     def test_zero_params_zero_posterior(self):
         cfg = tiny_config()
@@ -97,6 +134,49 @@ class TestEncode:
         cfg = tiny_config()
         with pytest.raises(EmptyDocument):
             encode(Document(ids=[]), random_model(cfg), cfg)
+
+    @given(encoder_blocks())
+    @settings(max_examples=20, deadline=None)
+    def test_blocks_match_the_oracle_mlp(self, case):
+        config, params, docs, kinds = case
+        block = model._ENCODER_BLOCK
+        for i, kind in enumerate(kinds):  # each block on the side of the rule it was built for
+            ids, lengths = model._pack(docs[i * block : (i + 1) * block])
+            words, _, _ = model._encoder_forward(ids, lengths, params)[2]
+            assert (words is None) == (kind == "all"), kind
+        calls = []
+        forward = model._encoder_forward
+
+        def spy(ids, lengths, params):
+            out = forward(ids, lengths, params)
+            calls.append((len(lengths), out[2][0] is None))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_encoder_forward", spy)
+            mu, log_var = model.encode_docs(docs, params, config)
+        assert {dense for _, dense in calls} == {False, True}
+        assert all(n <= (model._ROW_BLOCK if dense else block) for n, dense in calls)
+        assert sum(n for n, _ in calls) == len(docs)
+        ref = [encoder_posterior(doc.ids, params) for doc in docs]
+        for got, want in ((mu, [q.mu for q in ref]), (log_var, [q.log_var for q in ref])):
+            want = np.array(want)
+            # entries that cancel to near zero carry the rounding of their largest terms
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_restricted_block_allocates_no_dense_counts(self):
+        # a dense (64, 50 000) count block would be 25.6 MB
+        config = ModelConfig(mode="nvdm", m=50_000, d=2, encoder_layers=(8,))
+        params = random_model(config)
+        rng = np.random.default_rng(0)
+        docs = [Document(ids=rng.integers(0, config.m, 10).tolist()) for _ in range(64)]
+        tracemalloc.start()
+        try:
+            model.encode_docs(docs, params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.56e6
 
 
 class TestLocalContext:
@@ -350,8 +430,8 @@ def document_lists(draw):
     config = ModelConfig(mode=mode, m=m, d=d, k=k, encoder_layers=(3,))
     params = random_model(config, seed=seed)
     # the encoder reads raw counts, so at init scale the long document's
-    # log-variance can pass log(float max), where the KL overflows (a
-    # separate fault, in CHANGES.md); keep the encoder input at short-document scale
+    # log-variance can pass log(float max), which elbo_estimates rejects
+    # (TestElbo); keep the encoder input at short-document scale
     params.enc_W[0] /= len(long)
     samples = draw(st.sampled_from([1, 3, 20, 90]))
     return config, params, [Document(ids=ids) for ids in docs], samples, seed
@@ -384,6 +464,15 @@ class TestBlockComposition:
 
 
 class TestElbo:
+    def test_log_variance_overflow_is_named(self):
+        config, params, docs = overflowing_log_variance()
+        with pytest.raises(NonFiniteGradient) as info:
+            evaluate_bound(docs, params, config, samples=2)
+        assert str(info.value) == (
+            "non-finite gradient in encoder log-variance (evaluation): entry 741.302 "
+            "exceeds log(float64 max) = 709.783, where exp overflows"
+        )
+
     def test_zero_params_identity(self):
         for mode in ("savae", "nvdm"):
             cfg = tiny_config(mode)
@@ -510,6 +599,30 @@ class TestGradients:
             np.testing.assert_allclose(
                 arr, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(), err_msg=name
             )
+
+    @pytest.mark.parametrize("mode", ["savae", "nvdm"])
+    @pytest.mark.parametrize("present", [4, 7], ids=["restricted", "dense"])
+    def test_either_encoder_product_matches_dense_oracle(self, mode, present):
+        # 4 of 10 words are under the rule's share of m, 7 over it
+        config = ModelConfig(mode=mode, m=10, d=2, k=2, encoder_layers=(4, 3))
+        params = random_model(config, seed=present)
+        rng = np.random.default_rng(present)
+        vocab = rng.choice(config.m, present, replace=False)
+        docs = [Document(ids=rng.choice(vocab, n).tolist()) for n in (9, 3, 14)]
+        docs[0].ids += vocab.tolist()
+        eps = RngStream(present).normal((len(docs), config.d))
+        words = model._encoder_forward(*model._pack(docs), params)[2][0]
+        assert (words is None) == (present > config.m * model._RESTRICTED_MAX_SHARE)
+        estimates, grads = batch_elbo_gradients(docs, params, config, eps)
+        recon, kl, want = dense_batch_elbo_gradients(docs, params, config, eps)
+        np.testing.assert_allclose([e.reconstruction for e in estimates], recon, rtol=1e-10)
+        np.testing.assert_allclose([e.kl for e in estimates], kl, rtol=1e-10, atol=1e-14)
+        for name, arr in grads.items():
+            np.testing.assert_allclose(
+                arr, want[name], rtol=1e-10, atol=1e-10 * np.abs(want[name]).max(), err_msg=name
+            )
+        absent = np.setdiff1d(np.arange(config.m), vocab)
+        assert np.all(grads["enc_W_0"][absent] == 0.0)
 
     def test_nvdm_is_permutation_invariant_exactly(self):
         cfg = tiny_config("nvdm", m=8, d=3)

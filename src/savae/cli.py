@@ -108,7 +108,6 @@ class RunConfig:
             d=self.get("model.d", int),
             k=self.get("model.k", int),
             encoder_layers=layers,
-            sample_count_eval=self.get("model.eval_samples", int),
         )
 
     def train_config(self, out_dir):
@@ -120,15 +119,6 @@ class RunConfig:
             checkpoint_every=self.get("train.checkpoint_every", int),
             checkpoint_dir=str(Path(out_dir) / "checkpoints"),
         )
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise IoError(f"cannot create output directory {out}: {err.strerror}") from None
-    return out
 
 
 def _write_text(path, text):
@@ -144,8 +134,7 @@ def _write_manifest(out_dir, cfg, extra):
     print(text, end="")
 
 
-def cmd_preprocess(args, cfg):
-    out = _out_dir(args)
+def cmd_preprocess(args, cfg, out):
     cfg.override("corpus.vocab_size", args.vocab_size)
     cfg.override("seed", args.seed)
     vocab_size = cfg.get("corpus.vocab_size", int)
@@ -155,6 +144,8 @@ def cmd_preprocess(args, cfg):
         problems.append(f"corpus.vocab_size must be >= 1, got {vocab_size}")
     if not 0 <= args.test_fraction < 1:
         problems.append(f"--test-fraction must lie in [0, 1), got {args.test_fraction}")
+    if args.test_input and args.test_fraction:
+        problems.append("--test-fraction cannot be combined with --test-input")
     if problems:
         raise ConfigError(problems)
     train_raw = corpus_mod.load_corpus(args.input, args.format)
@@ -171,24 +162,18 @@ def cmd_preprocess(args, cfg):
     corpus_path = out / "corpus.savc"
     corpus_mod.save_corpus_file(split, corpus_path)
     empty_train = sum(doc.is_empty for doc in split.train)
-    _write_manifest(
-        out,
-        cfg,
-        {
-            "command": "preprocess",
-            "input": args.input,
-            "format": args.format,
-            "output": str(corpus_path),
-            "train_docs": len(split.train),
-            "test_docs": len(split.test),
-            "empty_train_docs_excluded": empty_train,
-            "vocab_entries": len(split.vocabulary),
-        },
-    )
+    return {
+        "input": args.input,
+        "format": args.format,
+        "output": str(corpus_path),
+        "train_docs": len(split.train),
+        "test_docs": len(split.test),
+        "empty_train_docs_excluded": empty_train,
+        "vocab_entries": len(split.vocabulary),
+    }
 
 
-def cmd_train(args, cfg):
-    out = _out_dir(args)
+def cmd_train(args, cfg, out):
     for key, val in (
         ("model.mode", args.mode),
         ("model.d", args.d),
@@ -216,11 +201,7 @@ def cmd_train(args, cfg):
     ckpt = out / "model.savm"
     training.save_checkpoint(params, model_config, ckpt)
     _write_text(out / "trainlog.csv", log.to_csv())
-    _write_manifest(
-        out,
-        cfg,
-        {"command": "train", "corpus": args.corpus, "checkpoint": str(ckpt)},
-    )
+    return {"corpus": args.corpus, "checkpoint": str(ckpt)}
 
 
 def _load_model_and_corpus(args):
@@ -235,23 +216,17 @@ def _load_model_and_corpus(args):
     return params, model_config, split
 
 
-def cmd_represent(args, cfg):
-    out = _out_dir(args)
+def cmd_represent(args, cfg, out):
     params, model_config, split = _load_model_and_corpus(args)
     docs = split.train if args.split == "train" else split.test
     reps = inference.represent_batch(docs, params, model_config)
     path = out / f"representations_{args.split}.csv"
     inference.write_representations(reps, path)
-    _write_manifest(
-        out,
-        cfg,
-        {"command": "represent", "split": args.split, "output": str(path),
-         "documents": len(docs), "empty_skipped": len(docs) - len(reps)},
-    )
+    return {"split": args.split, "output": str(path), "documents": len(docs),
+            "empty_skipped": len(docs) - len(reps)}
 
 
-def cmd_eval_bound(args, cfg):
-    out = _out_dir(args)
+def cmd_eval_bound(args, cfg, out):
     cfg.override("model.eval_samples", args.samples)
     samples = cfg.get("model.eval_samples", int)
     if samples < 1:
@@ -269,12 +244,8 @@ def cmd_eval_bound(args, cfg):
     path = out / "bound.txt"
     _write_text(path, report)
     print(report, end="")
-    _write_manifest(
-        out,
-        cfg,
-        {"command": "eval-bound", "checkpoint": args.checkpoint, "corpus": args.corpus,
-         "split": args.split, "output": str(path), "empty_skipped": len(docs) - len(kept)},
-    )
+    return {"checkpoint": args.checkpoint, "corpus": args.corpus, "split": args.split,
+            "output": str(path), "empty_skipped": len(docs) - len(kept)}
 
 
 def _read_matching_representations(first, second):
@@ -287,24 +258,18 @@ def _read_matching_representations(first, second):
     return a, b
 
 
-def cmd_eval_retrieval(args, cfg):
-    out = _out_dir(args)
+def cmd_eval_retrieval(args, cfg, out):
     (_, qlabels, qreps), (_, ilabels, ireps) = _read_matching_representations(
         args.queries, args.index
     )
     curve = evaluation.retrieval_pr(qreps, qlabels, ireps, ilabels, args.relevance)
     path = out / "pr_curve.csv"
     _write_text(path, curve.to_csv())
-    _write_manifest(
-        out,
-        cfg,
-        {"command": "eval-retrieval", "relevance": args.relevance, "output": str(path),
-         "queries_used": curve.n_queries, "queries_skipped": curve.skipped},
-    )
+    return {"relevance": args.relevance, "output": str(path),
+            "queries_used": curve.n_queries, "queries_skipped": curve.skipped}
 
 
-def cmd_eval_cluster(args, cfg):
-    out = _out_dir(args)
+def cmd_eval_cluster(args, cfg, out):
     _, labels, reps = inference.read_representations(args.reps)
     flat = [min(ls) if ls else "" for ls in labels]
     metrics = evaluation.ClusterMetrics(
@@ -315,11 +280,12 @@ def cmd_eval_cluster(args, cfg):
     path = out / "cluster_metrics.txt"
     _write_text(path, metrics.report())
     print(metrics.report(), end="")
-    _write_manifest(out, cfg, {"command": "eval-cluster", "output": str(path)})
+    return {"output": str(path)}
 
 
-def cmd_neighbors(args, cfg):
-    out = _out_dir(args)
+def cmd_neighbors(args, cfg, out):
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     params, model_config, split = _load_model_and_corpus(args)
     spaces = evaluation.embedding_spaces(params, model_config)
     if args.space not in spaces:
@@ -333,7 +299,7 @@ def cmd_neighbors(args, cfg):
     text = "\n".join(lines) + "\n"
     _write_text(out / f"neighbors_{args.space}.txt", text)
     print(text, end="")
-    _write_manifest(out, cfg, {"command": "neighbors", "space": args.space})
+    return {"space": args.space}
 
 
 def _first_labels(label_sets, path):
@@ -344,8 +310,7 @@ def _first_labels(label_sets, path):
     return [min(labels) for labels in label_sets]
 
 
-def cmd_probe(args, cfg):
-    out = _out_dir(args)
+def cmd_probe(args, cfg, out):
     (_, tr_labels, tr_reps), (_, te_labels, te_reps) = _read_matching_representations(
         args.train, args.test
     )
@@ -367,7 +332,7 @@ def cmd_probe(args, cfg):
     report = f"positive_class={classes[1]}\naccuracy={acc:.4f}\n"
     _write_text(out / "probe_accuracy.txt", report)
     print(report, end="")
-    _write_manifest(out, cfg, {"command": "probe", "accuracy": f"{acc:.4f}"})
+    return {"accuracy": f"{acc:.4f}"}
 
 
 def build_parser():
@@ -453,7 +418,13 @@ def main(argv=None):
     try:
         cfg = RunConfig(args.config)
         cfg.override("seed", args.seed)
-        args.func(args, cfg)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise IoError(f"cannot create output directory {out}: {err.strerror}") from None
+        record = args.func(args, cfg, out)
+        _write_manifest(out, cfg, {"command": args.command, **record})
     except SavaeError as err:
         print(f"error: {err.category}: {err}", file=sys.stderr)
         return 1

@@ -17,7 +17,10 @@ so that it is read with one ``np.frombuffer`` per section:
   u32[N] document lengths, u32[N] label counts, the u32 label indices of
   all documents, then the u32 token ids of all documents.
 
-Version-1 files, which write each document as its own fields, still load.
+Only version 2 is read. A file of any other version, such as version 1,
+which wrote each document as its own fields, is an ``UnsupportedVersion``;
+``savae preprocess`` rebuilds the same file from the same input text,
+``--vocab-size`` and ``--seed``.
 """
 
 import io
@@ -254,26 +257,6 @@ def _check_below(top, limit, what, r):
         raise CorruptFile(f"{what} {top} out of range (< {limit}) in {r.source}")
 
 
-def _read_v1(r):
-    """Version 1: each vocabulary entry and document field by field."""
-    seed = r.i64()
-    tokens, counts = [], []
-    for _ in range(r.u32()):
-        tokens.append(r.string())
-        counts.append(r.u64())
-    splits = []
-    for _ in range(2):
-        docs = []
-        for _ in range(r.u32()):
-            labels = {r.string() for _ in range(r.u32())}
-            ids = list(r.u32s(r.u32()))
-            _check_below(max(ids, default=-1), len(tokens), "token id", r)
-            docs.append(Document(ids=ids, labels=labels))
-        splits.append(docs)
-    vocab = _vocabulary(tokens, counts, r)
-    return CorpusSplit(train=splits[0], test=splits[1], vocabulary=vocab, shuffle_seed=seed)
-
-
 def _offsets(lengths):
     """Consecutive (start, end) pairs of items of the given lengths."""
     return list(pairwise([0, *np.cumsum(lengths, dtype=np.int64).tolist()]))
@@ -288,7 +271,7 @@ def _read_strings(r, n):
         raise CorruptFile(f"invalid UTF-8 string in {r.source}") from None
 
 
-def _read_docs_v2(r, n_vocab, labels):
+def _read_docs(r, n_vocab, labels):
     n = r.u32()
     lengths = r.array("<u4", n)
     label_counts = r.array("<u4", n)
@@ -304,21 +287,8 @@ def _read_docs_v2(r, n_vocab, labels):
     ]
 
 
-def _read_v2(r):
-    seed = r.i64()
-    n_vocab = r.u32()
-    n_labels = r.u32()
-    tokens = _read_strings(r, n_vocab)
-    counts = r.array("<u8", n_vocab).tolist()
-    labels = _read_strings(r, n_labels)
-    train = _read_docs_v2(r, n_vocab, labels)
-    test = _read_docs_v2(r, n_vocab, labels)
-    vocab = _vocabulary(tokens, counts, r)
-    return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
-
-
 def load_corpus_file(path):
-    """Read a version-2 or version-1 corpus file; any damage is a CorruptFile."""
+    """Read a version-2 corpus file; any damage is a CorruptFile."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such file: {path}")
@@ -327,15 +297,23 @@ def load_corpus_file(path):
     if r.read(4) != CORPUS_MAGIC:
         raise CorruptFile(f"bad magic in corpus file {path}")
     version = r.u32()
-    if version == CORPUS_VERSION:
-        split = _read_v2(r)
-    elif version == 1:
-        split = _read_v1(r)
-    else:
-        raise UnsupportedVersion(f"corpus format version {version}")
+    if version != CORPUS_VERSION:
+        raise UnsupportedVersion(
+            f"corpus file {path} has format version {version}; only version "
+            f"{CORPUS_VERSION} is read, so rebuild it with savae preprocess"
+        )
+    seed = r.i64()
+    n_vocab = r.u32()
+    n_labels = r.u32()
+    tokens = _read_strings(r, n_vocab)
+    counts = r.array("<u8", n_vocab).tolist()
+    labels = _read_strings(r, n_labels)
+    train = _read_docs(r, n_vocab, labels)
+    test = _read_docs(r, n_vocab, labels)
+    vocab = _vocabulary(tokens, counts, r)
     if fh.read(1):
         raise CorruptFile(f"trailing bytes after the last document in {path}")
-    return split
+    return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
 
 
 def build_split(train_raw, test_raw, max_vocab, seed):

@@ -284,6 +284,8 @@ def nearest_words(query, vocab, embeddings, n=5):
 
     The query itself is excluded; ties break by vocabulary id.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if query not in vocab:
         raise UnknownToken(f"token not in vocabulary: {query!r}")
     qid = vocab.index[query]

@@ -80,9 +80,6 @@ class Reader:
             raise self.error(f"truncated {self.source}")
         return out
 
-    def u64(self):
-        return struct.unpack("<Q", self.read(8))[0]
-
     def i64(self):
         return struct.unpack("<q", self.read(8))[0]
 

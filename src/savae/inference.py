@@ -47,11 +47,9 @@ def represent_batch(docs, params, config):
     ]
 
 
-def evaluate_bound(docs, params, config, samples=None, seed=0):
+def evaluate_bound(docs, params, config, samples=20, seed=0):
     """(mean per-document ELBO total, perplexity) over non-empty docs; doc i
     of ``docs``, empty ones counted, draws its eps from ``substream(i)``."""
-    if samples is None:
-        samples = config.sample_count_eval
     if samples < 1:
         raise ValueError("samples must be >= 1")
     kept = [i for i, doc in enumerate(docs) if not doc.is_empty]

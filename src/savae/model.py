@@ -44,6 +44,7 @@ product, which is faster there.
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,7 +100,6 @@ class ModelConfig:
     d: int
     k: int = 5
     encoder_layers: tuple = (500, 500)
-    sample_count_eval: int = 20
 
     def __post_init__(self):
         self.encoder_layers = tuple(self.encoder_layers)
@@ -114,8 +114,6 @@ class ModelConfig:
             problems.append("k must be >= 1 in savae mode")
         if not self.encoder_layers:
             problems.append("encoder_layers must be non-empty")
-        if self.sample_count_eval < 1:
-            problems.append("sample_count_eval must be >= 1")
         if problems:
             raise ConfigError(problems)
 
@@ -131,20 +129,19 @@ class ModelConfig:
             "d": self.d,
             "k": self.k,
             "encoder_layers": list(self.encoder_layers),
-            "sample_count_eval": self.sample_count_eval,
         }
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict; ignores ``sample_count_train``, which older
-        checkpoints carry (training always draws one sample)."""
+        """Inverse of to_dict; ignores ``sample_count_train`` and
+        ``sample_count_eval``, which older checkpoints carry (training always
+        draws one sample, and the bound takes its sample count as an argument)."""
         return cls(
             mode=data["mode"],
             m=data["m"],
             d=data["d"],
             k=data.get("k", 5),
             encoder_layers=tuple(data["encoder_layers"]),
-            sample_count_eval=data.get("sample_count_eval", 20),
         )
 
 
@@ -257,8 +254,8 @@ def init_params(config, rng):
 def _pack(docs):
     """The packed layout of ``docs``: their concatenated ids, and lengths."""
     lengths = np.array([doc.length for doc in docs], dtype=np.intp)
-    ids = [np.asarray(doc.ids, dtype=np.intp) for doc in docs]
-    return np.concatenate(ids) if ids else np.empty(0, dtype=np.intp), lengths
+    ids = np.fromiter(chain.from_iterable(doc.ids for doc in docs), np.intp, lengths.sum())
+    return ids, lengths
 
 
 def _packed_counts(ids, lengths, width):
@@ -335,16 +332,21 @@ def encode_docs(docs, params, config):
     blocks of ``_ENCODER_BLOCK`` consecutive documents; a block that takes
     the dense first layer (see ``_encoder_forward``) is widened to
     ``_ROW_BLOCK`` documents, whose wider GEMMs run faster per row."""
-    ids, lengths = _pack(docs)
+    return _encode_packed(*_pack(docs), params, config)
+
+
+def _encode_packed(ids, lengths, params, config):
+    """``encode_docs`` of the packed documents ``ids`` and ``lengths``."""
+    n = len(lengths)
     t_end = np.cumsum(lengths)
-    mu = np.empty((len(docs), config.d))
+    mu = np.empty((n, config.d))
     log_var = np.empty_like(mu)
     a = 0
-    while a < len(docs):
+    while a < n:
         t0 = t_end[a] - lengths[a]
-        b = min(a + _ENCODER_BLOCK, len(docs))
+        b = min(a + _ENCODER_BLOCK, n)
         if _restricted_words(ids[t0 : t_end[b - 1]], config.m) is None:
-            b = min(a + _ROW_BLOCK, len(docs))
+            b = min(a + _ROW_BLOCK, n)
         mu[a:b], log_var[a:b], _ = _encoder_forward(ids[t0 : t_end[b - 1]], lengths[a:b], params)
         a = b
     return mu, log_var
@@ -523,8 +525,9 @@ def _packed_log_likelihoods(ids, lengths, Z, samples, params, config):
 
 def elbo_estimates(docs, params, config, eps_list):
     """Monte-Carlo ELBO of each document; ``eps_list[i]`` holds document i's
-    (S_i, d) standard-normal draws. The posteriors come from one
-    ``encode_docs`` and the likelihoods from one ``_packed_log_likelihoods``.
+    (S_i, d) standard-normal draws. The documents are packed once; the
+    posteriors come from one ``_encode_packed`` and the likelihoods from one
+    ``_packed_log_likelihoods``.
     Raises ``NonFiniteGradient`` naming the encoder log-variance, in context
     "evaluation", when an entry would overflow ``exp``."""
     if len(eps_list) != len(docs):
@@ -533,13 +536,13 @@ def elbo_estimates(docs, params, config, eps_list):
         return []
     if any(doc.length == 0 for doc in docs):
         raise EmptyDocument("cannot evaluate an empty document")
-    mu, log_var = encode_docs(docs, params, config)
+    ids, lengths = _pack(docs)
+    mu, log_var = _encode_packed(ids, lengths, params, config)
     sd = _posterior_sd(log_var, context="evaluation")
     kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))
     samples = [len(eps) for eps in eps_list]
     owner = np.repeat(np.arange(len(docs)), samples)
     Z = mu[owner] + sd[owner] * np.concatenate(eps_list)
-    ids, lengths = _pack(docs)
     ll = _packed_log_likelihoods(ids, lengths, Z, samples, params, config)
     first = np.cumsum(samples) - samples
     return [

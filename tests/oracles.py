@@ -6,7 +6,6 @@ shares no code with the package internals it checks.
 
 import csv
 import math
-import struct
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -371,41 +370,6 @@ def adam_step(params, grads, m, v, t, learning_rate):
         v[name] *= beta2
         v[name] += (1.0 - beta2) * g * g
         theta += learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-
-
-def _write_str(fh, s):
-    data = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
-
-
-def _write_docs(fh, docs):
-    fh.write(struct.pack("<I", len(docs)))
-    for doc in docs:
-        labels = sorted(doc.labels)
-        fh.write(struct.pack("<I", len(labels)))
-        for lab in labels:
-            _write_str(fh, lab)
-        fh.write(struct.pack("<I", len(doc.ids)))
-        fh.write(struct.pack(f"<{len(doc.ids)}I", *doc.ids))
-
-
-def write_corpus_file_v1(split, path):
-    """A version-1 corpus file: magic, u32 version 1, i64 seed, the
-    vocabulary as (string, u64 count) entries, then each split as a u32
-    document count and per document its labels as strings and its ids;
-    strings are a u32 byte length and UTF-8, all integers little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(b"SAVC")
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<q", split.shuffle_seed))
-        vocab = split.vocabulary
-        fh.write(struct.pack("<I", len(vocab.tokens)))
-        for tok, cnt in zip(vocab.tokens, vocab.counts):
-            _write_str(fh, tok)
-            fh.write(struct.pack("<Q", cnt))
-        _write_docs(fh, split.train)
-        _write_docs(fh, split.test)
 
 
 def write_representations_csv(reps, path):

@@ -27,9 +27,7 @@ GROUPS = {
 }
 
 
-@pytest.fixture
-def corpus_dir(tmp_path):
-    root = tmp_path / "raw"
+def _write_groups(root):
     for group, texts in GROUPS.items():
         gdir = root / group
         gdir.mkdir(parents=True)
@@ -38,8 +36,52 @@ def corpus_dir(tmp_path):
     return root
 
 
+@pytest.fixture
+def corpus_dir(tmp_path):
+    return _write_groups(tmp_path / "raw")
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+# each subcommand's arguments, relative to the ``fitted`` directory; the
+# first is a path that the command reads
+COMMANDS = {
+    "preprocess": ["--input", "groups", "--format", "newsgroup-dirs", "--vocab-size", "20",
+                   "--test-fraction", "0.25"],
+    "train": ["--corpus", "pre/corpus.savc", "--mode", "nvdm", "--d", "2", "--epochs", "1",
+              "--batch-size", "4"],
+    "represent": ["--checkpoint", "t/model.savm", "--corpus", "pre/corpus.savc"],
+    "eval-bound": ["--checkpoint", "t/model.savm", "--corpus", "pre/corpus.savc",
+                   "--samples", "2"],
+    "eval-retrieval": ["--queries", "rep/representations_test.csv",
+                       "--index", "rep/representations_train.csv"],
+    "eval-cluster": ["--reps", "rep/representations_train.csv"],
+    "neighbors": ["--checkpoint", "t/model.savm", "--corpus", "pre/corpus.savc",
+                  "--words", "the"],
+    "probe": ["--train", "rep/representations_train.csv",
+              "--test", "rep/representations_test.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A directory with the raw groups, their corpus file in ``pre``, a
+    20-word nvdm checkpoint in ``t`` and both splits' representations in
+    ``rep``."""
+    root = tmp_path_factory.mktemp("fitted")
+    _write_groups(root / "groups")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for out, command, extra in [
+            ("pre", "preprocess", []),
+            ("t", "train", []),
+            ("rep", "represent", ["--split", "train"]),
+            ("rep", "represent", ["--split", "test"]),
+        ]:
+            assert run(["--out", out, command, *COMMANDS[command], *extra]) == 0
+    return root
 
 
 class TestPipeline:
@@ -107,6 +149,19 @@ class TestPipeline:
         assert blobs[0] == blobs[1]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_names_the_command(self, tmp_path, fitted, monkeypatch, capsys, command):
+        monkeypatch.chdir(fitted)
+        argv = COMMANDS[command]
+        assert run(["--out", tmp_path / "ok", command, *argv]) == 0
+        manifest = (tmp_path / "ok" / "manifest.txt").read_text()
+        assert f"\ncommand={command}\n" in manifest
+        capsys.readouterr()
+        # the same command with its first input missing fails and writes no manifest
+        assert run(["--out", tmp_path / "failed", command, argv[0], "missing", *argv[2:]]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: IoError: no such (path|file|checkpoint): missing\n", err), err
+        assert not (tmp_path / "failed" / "manifest.txt").exists()
 
     def test_failed_trainlog_write_keeps_previous_file(
         self, tmp_path, corpus_dir, capsys, monkeypatch
@@ -515,11 +570,105 @@ class TestCategorizedErrors:
                 "error: ParseError: line 3: invalid UTF-8 in q.csv",
                 id="retrieval-csv-label-invalid-utf8",
             ),
+            pytest.param(
+                {"bad.cfg": b"# settings\nmodel.d 4\n", "in.txt": b"a\thello world\n"},
+                ["--config", "bad.cfg", "preprocess", "--input", "in.txt",
+                 "--format", "labeled-lines"],
+                "error: ParseError: line 2: expected key=value, got 'model.d 4'",
+                id="config-line-without-equals",
+            ),
+            pytest.param(
+                {"in.txt": b"a\thello world\n\tno label here\n"},
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines"],
+                "error: ParseError: line 2: empty label field",
+                id="empty-labeled-lines-label",
+            ),
+            pytest.param(
+                {"docs/000": b"a\thello world\n"},
+                ["preprocess", "--input", "docs", "--format", "labeled-lines"],
+                "error: IoError: not a file: docs",
+                id="labeled-lines-on-a-directory",
+            ),
+            pytest.param(
+                {},  # the fraction is refused before the missing input is looked at
+                ["preprocess", "--input", "in.txt", "--format", "labeled-lines",
+                 "--test-input", "test.txt", "--test-fraction", "0.2"],
+                "error: ConfigError: --test-fraction cannot be combined with --test-input\n",
+                id="test-fraction-with-test-input",
+            ),
+            pytest.param(
+                {"tr.csv": b"id,labels,v0\n0,a,1.0\n1,b,0.0\n2,c,0.5\n",
+                 "te.csv": b"id,labels,v0\n0,a,1.0\n"},
+                ["probe", "--train", "tr.csv", "--test", "te.csv"],
+                "error: ConfigError: probe needs exactly 2 classes, found ['a', 'b', 'c']",
+                id="probe-three-classes",
+            ),
+            pytest.param(
+                {"layers.cfg": b"model.encoder_layers=5,x\n"},
+                ["--config", "layers.cfg", "train", "--corpus", "fit/pre/corpus.savc"],
+                "error: ConfigError: model.encoder_layers=5,x is not a comma-separated list",
+                id="encoder-layers-not-ints",
+            ),
+            pytest.param(
+                {},
+                ["neighbors", "--checkpoint", "fit/t/model.savm", "--corpus",
+                 "fit/pre/corpus.savc", "--words", "the", "--space", "local"],
+                "error: ConfigError: embedding space 'local' not available for nvdm checkpoints",
+                id="local-space-of-nvdm",
+            ),
+            pytest.param(
+                {},
+                ["neighbors", "--checkpoint", "fit/t/model.savm", "--corpus",
+                 "fit/pre/corpus.savc", "--words", "the", "--n", "0"],
+                "error: ConfigError: --n must be >= 1, got 0\n",
+                id="neighbors-n-0",
+            ),
+            pytest.param(
+                {"v1.savc": ("pre/corpus.savc", lambda b: b[:4] + struct.pack("<I", 1) + b[8:])},
+                ["train", "--corpus", "v1.savc"],
+                "error: UnsupportedVersion: corpus file v1.savc has format version 1; only "
+                "version 2 is read, so rebuild it with savae preprocess\n",
+                id="corpus-version-1",
+            ),
+            pytest.param(
+                {"bad.savm": ("t/model.savm", lambda b: b"NOPE" + b[4:])},
+                ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
+                "error: CorruptCheckpoint: bad magic in checkpoint bad.savm\n",
+                id="checkpoint-bad-magic",
+            ),
+            pytest.param(
+                {"bad.savm": ("t/model.savm", lambda b: b[:12] + b"!" + b[13:])},
+                ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
+                "error: CorruptCheckpoint: bad config block: ",
+                id="checkpoint-unparsable-config",
+            ),
+            pytest.param(
+                # the first parameter's name, "X", follows its u32 byte length
+                {"bad.savm": ("t/model.savm",
+                              lambda b: b.replace(b"\x01\x00\x00\x00X", b"\x01\x00\x00\x00Y", 1))},
+                ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
+                "error: CorruptCheckpoint: unexpected parameter 'Y'\n",
+                id="checkpoint-unexpected-name",
+            ),
+            pytest.param(
+                # X's u32 rank and its first dimension, m = 20, follow its name
+                {"bad.savm": ("t/model.savm", lambda b: b.replace(
+                    b"X\x02\x00\x00\x00\x14\x00", b"X\x02\x00\x00\x00\x15\x00", 1))},
+                ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
+                "error: CorruptCheckpoint: parameter 'X' has shape (21, 2), expected (20, 2)\n",
+                id="checkpoint-wrong-shape",
+            ),
         ],
     )
-    def test_user_error(self, tmp_path, monkeypatch, capsys, files, argv, expected):
+    def test_user_error(self, tmp_path, fitted, monkeypatch, capsys, files, argv, expected):
+        """``files`` maps a name to its bytes, or to a file of ``fitted`` and
+        an edit of its bytes; ``fitted`` itself is at ``fit``."""
         monkeypatch.chdir(tmp_path)
+        Path("fit").symlink_to(fitted)
         for name, data in files.items():
+            if isinstance(data, tuple):
+                source, edit = data
+                data = edit((fitted / source).read_bytes())
             Path(name).parent.mkdir(parents=True, exist_ok=True)
             Path(name).write_bytes(data)
         assert run(argv) == 1

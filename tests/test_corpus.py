@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from savae.corpus import (
     CorpusSplit,
     Document,
@@ -23,7 +22,7 @@ from savae.corpus import (
 )
 from savae.errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
 
-WRITERS = {"v2": save_corpus_file, "v1": oracles.write_corpus_file_v1}
+WRITERS = {"v2": save_corpus_file}
 
 
 @st.composite
@@ -291,10 +290,11 @@ class TestCorpusFile:
         path = tmp_path / "corpus.savc"
         save_corpus_file(self._split(), path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 3)
-        path.write_bytes(bytes(data))
-        with pytest.raises(UnsupportedVersion, match="version 3"):
-            load_corpus_file(path)
+        for version in (1, 3):
+            data[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(UnsupportedVersion, match=f"version {version};.*savae preprocess"):
+                load_corpus_file(path)
 
     @pytest.mark.parametrize("version", sorted(WRITERS))
     @pytest.mark.parametrize(

@@ -303,6 +303,11 @@ class TestNearestWords:
         with pytest.raises(UnknownToken):
             nearest_words("zzz", self._vocab(), np.eye(4), n=2)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            nearest_words("aa", self._vocab(), np.eye(4), n=n)
+
     def test_spaces_by_mode(self):
         cfg_s = tiny_config("savae")
         cfg_n = tiny_config("nvdm")

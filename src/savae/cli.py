@@ -2,9 +2,9 @@
 
 Subcommands: preprocess, train, represent, eval-bound, eval-retrieval,
 eval-cluster, neighbors, probe. Settings come from an optional key=value
-config file (dotted keys, e.g. ``model.d=50``) overridden by flags; the
-effective configuration is echoed to a run manifest in the output
-directory.
+config file (dotted keys, e.g. ``model.d=50``) overridden by flags, each
+of which stores its value under the key it overrides; the effective
+configuration is echoed to a run manifest in the output directory.
 
 The SAVAE_THREADS environment variable bounds the BLAS worker count.
 """
@@ -82,10 +82,6 @@ class RunConfig:
                 )
             self.values.update(values)
 
-    def override(self, key, value):
-        if value is not None:
-            self.values[key] = value
-
     def get(self, key, cast=str):
         value = self.values[key]
         try:
@@ -95,13 +91,12 @@ class RunConfig:
 
     def model_config(self, vocab_size):
         layers = self.get("model.encoder_layers")
-        if isinstance(layers, str):
-            try:
-                layers = tuple(int(w) for w in layers.split(",") if w)
-            except ValueError:
-                raise ConfigError(
-                    f"model.encoder_layers={layers} is not a comma-separated list of ints"
-                ) from None
+        try:
+            layers = tuple(int(w) for w in layers.split(",") if w)
+        except ValueError:
+            raise ConfigError(
+                f"model.encoder_layers={layers} is not a comma-separated list of ints"
+            ) from None
         return ModelConfig(
             mode=self.get("model.mode"),
             m=vocab_size,
@@ -122,8 +117,8 @@ class RunConfig:
 
 
 def _write_text(path, text):
-    with atomic_write(path, "w") as fh:
-        fh.write(text)
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _write_manifest(out_dir, cfg, extra):
@@ -135,8 +130,6 @@ def _write_manifest(out_dir, cfg, extra):
 
 
 def cmd_preprocess(args, cfg, out):
-    cfg.override("corpus.vocab_size", args.vocab_size)
-    cfg.override("seed", args.seed)
     vocab_size = cfg.get("corpus.vocab_size", int)
     seed = cfg.get("seed", int)
     problems = []
@@ -174,16 +167,6 @@ def cmd_preprocess(args, cfg, out):
 
 
 def cmd_train(args, cfg, out):
-    for key, val in (
-        ("model.mode", args.mode),
-        ("model.d", args.d),
-        ("model.k", args.k),
-        ("train.lr", args.lr),
-        ("train.epochs", args.epochs),
-        ("train.batch_size", args.batch_size),
-        ("seed", args.seed),
-    ):
-        cfg.override(key, val)
     split = corpus_mod.load_corpus_file(args.corpus)
     problems = []
     model_config = train_config = None
@@ -227,7 +210,6 @@ def cmd_represent(args, cfg, out):
 
 
 def cmd_eval_bound(args, cfg, out):
-    cfg.override("model.eval_samples", args.samples)
     samples = cfg.get("model.eval_samples", int)
     if samples < 1:
         raise ConfigError(f"model.eval_samples must be >= 1, got {samples}")
@@ -360,17 +342,17 @@ def build_parser():
                    choices=["newsgroup-dirs", "labeled-lines", "unlabeled-lines"])
     p.add_argument("--test-input")
     p.add_argument("--test-fraction", type=float, default=0.0)
-    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--vocab-size", type=int, dest="corpus.vocab_size")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", parents=[common], help="train a model on an encoded corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=["savae", "nvdm"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--mode", choices=["savae", "nvdm"], dest="model.mode")
+    p.add_argument("--d", type=int, dest="model.d")
+    p.add_argument("--k", type=int, dest="model.k")
+    p.add_argument("--lr", type=float, dest="train.lr")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("represent", parents=[common], help="export posterior-mean representations")
@@ -384,7 +366,8 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--samples", type=int, help="posterior samples per document")
+    p.add_argument("--samples", type=int, dest="model.eval_samples",
+                   help="posterior samples per document")
     p.set_defaults(func=cmd_eval_bound)
 
     p = sub.add_parser("eval-retrieval", parents=[common], help="precision-recall retrieval evaluation")
@@ -417,7 +400,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(args.config)
-        cfg.override("seed", args.seed)
+        # a flag's dest is the config key it overrides
+        cfg.values.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -426,7 +410,7 @@ def main(argv=None):
         record = args.func(args, cfg, out)
         _write_manifest(out, cfg, {"command": args.command, **record})
     except SavaeError as err:
-        print(f"error: {err.category}: {err}", file=sys.stderr)
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     return 0
 

@@ -302,7 +302,7 @@ def load_corpus_file(path):
             f"corpus file {path} has format version {version}; only version "
             f"{CORPUS_VERSION} is read, so rebuild it with savae preprocess"
         )
-    seed = r.i64()
+    seed = int(r.array("<i8", 1)[0])
     n_vocab = r.u32()
     n_labels = r.u32()
     tokens = _read_strings(r, n_vocab)

@@ -1,20 +1,19 @@
-"""Exception hierarchy shared by all savae modules."""
+"""Exception hierarchy shared by all savae modules.
+
+The CLI reports an error as ``error: <category>: <message>``, where the
+category is the exception's class name.
+"""
 
 
 class SavaeError(Exception):
     """Base class for all errors raised by this package."""
 
-    #: short machine-parseable category, used by the CLI error reporting
-    category = "Error"
-
 
 class IoError(SavaeError):
-    category = "IoError"
+    """A file or directory is missing, or cannot be created."""
 
 
 class ParseError(SavaeError):
-    category = "ParseError"
-
     def __init__(self, message, line_number=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
@@ -23,21 +22,19 @@ class ParseError(SavaeError):
 
 
 class EmptyCorpus(SavaeError):
-    category = "EmptyCorpus"
+    """A corpus without tokens, or without a training document to learn from."""
 
 
 class EmptyDocument(SavaeError):
-    category = "EmptyDocument"
+    """A document without words where one needs them."""
 
 
 class AllDocumentsEmpty(SavaeError):
-    category = "AllDocumentsEmpty"
+    """Every document of an input is empty: nothing to score or represent."""
 
 
 class ConfigError(SavaeError):
     """One or more invalid configuration fields; collects all violations."""
-
-    category = "ConfigError"
 
     def __init__(self, violations):
         if isinstance(violations, str):
@@ -53,8 +50,6 @@ class NonFiniteGradient(SavaeError):
     training it happened and ``detail`` why.
     """
 
-    category = "NonFiniteGradient"
-
     def __init__(self, source, context="", detail=""):
         self.source = source
         self.detail = detail
@@ -67,30 +62,28 @@ class NonFiniteGradient(SavaeError):
 
 
 class UnsupportedVersion(SavaeError):
-    category = "UnsupportedVersion"
+    """A binary file of a format version that is not read."""
 
 
 class CorruptCheckpoint(SavaeError):
-    category = "CorruptCheckpoint"
+    """A checkpoint file that is not in its format."""
 
 
 class CorruptFile(SavaeError):
     """A data file (other than a checkpoint) that is not in its format."""
 
-    category = "CorruptFile"
-
 
 class DegenerateCentroids(SavaeError):
-    category = "DegenerateCentroids"
+    """Clusters whose centroids coincide."""
 
 
 class DegenerateClusters(SavaeError):
-    category = "DegenerateClusters"
+    """Too few clusters, or none with any spread."""
 
 
 class DegenerateLabels(SavaeError):
-    category = "DegenerateLabels"
+    """Labels an evaluation cannot use: missing, not binary, or never relevant."""
 
 
 class UnknownToken(SavaeError):
-    category = "UnknownToken"
+    """A query word that is not in the vocabulary."""

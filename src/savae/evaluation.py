@@ -53,9 +53,10 @@ DEFAULT_RECALL_GRID = (
 )
 
 
-# the linear probe's Adam rate and minibatch size
+# the linear probe's Adam rate, minibatch size and passes over the data
 PROBE_LEARNING_RATE = 1e-3
 PROBE_BATCH_SIZE = 256
+PROBE_EPOCHS = 100
 
 # query rows ranked together by retrieval_pr
 _QUERY_BLOCK = 256
@@ -301,10 +302,11 @@ def nearest_words(query, vocab, embeddings, n=5):
     return out
 
 
-def linear_probe(train_reps, train_labels, test_reps, test_labels, epochs=100, seed=0):
+def linear_probe(train_reps, train_labels, test_reps, test_labels, seed=0):
     """Logistic-regression probe on frozen representations; test accuracy.
 
-    Trained by Adam on the mean log-likelihood of binary labels.
+    Trained by Adam on the mean log-likelihood of binary labels, for
+    ``PROBE_EPOCHS`` epochs.
     """
     X = np.asarray(train_reps, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.float64)
@@ -319,7 +321,7 @@ def linear_probe(train_reps, train_labels, test_reps, test_labels, epochs=100, s
     state = AdamState(params)
     rng = RngStream(seed)
     n = len(X)
-    for epoch in range(epochs):
+    for epoch in range(PROBE_EPOCHS):
         perm = rng.substream(epoch).permutation(n)
         for start in range(0, n, PROBE_BATCH_SIZE):
             idx = perm[start : start + PROBE_BATCH_SIZE]

@@ -12,8 +12,8 @@ from .errors import ParseError
 
 
 @contextmanager
-def atomic_write(path, mode="wb", **open_kwargs):
-    """Yield a file handle whose contents replace ``path`` only on success.
+def atomic_write(path):
+    """Yield a binary file handle whose contents replace ``path`` only on success.
 
     The data goes to a temporary file in the target's directory, which
     ``os.replace`` renames over ``path`` once the block completes. If the
@@ -22,7 +22,7 @@ def atomic_write(path, mode="wb", **open_kwargs):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -68,9 +68,6 @@ class Reader:
     def u32(self):
         return struct.unpack("<I", self.read(4))[0]
 
-    def u32s(self, n):
-        return struct.unpack(f"<{n}I", self.read(4 * n))
-
     def array(self, dtype, n):
         """``n`` values of the NumPy ``dtype``, read straight into a new array."""
         dtype = np.dtype(dtype)
@@ -79,9 +76,6 @@ class Reader:
         if self.fh.readinto(out) != out.nbytes:
             raise self.error(f"truncated {self.source}")
         return out
-
-    def i64(self):
-        return struct.unpack("<q", self.read(8))[0]
 
     def string(self):
         data = self.read(self.u32())

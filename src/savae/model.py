@@ -49,7 +49,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, EmptyDocument, NonFiniteGradient
-from .numerics import GaussianPosterior, kl_standard_normal, relu, sigmoid
+from .numerics import kl_standard_normal, relu, sigmoid
 
 __all__ = [
     "ElboEstimate",
@@ -122,20 +122,15 @@ class ModelConfig:
         """Width of the vector the decoder embeddings are dotted with."""
         return 2 * self.d if self.mode == SAVAE else self.d
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "m": self.m,
-            "d": self.d,
-            "k": self.k,
-            "encoder_layers": list(self.encoder_layers),
-        }
-
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict; ignores ``sample_count_train`` and
+        """Inverse of ``dataclasses.asdict``; ignores ``sample_count_train`` and
         ``sample_count_eval``, which older checkpoints carry (training always
-        draws one sample, and the bound takes its sample count as an argument)."""
+        draws one sample, and the bound takes its sample count as an argument).
+        Raises ValueError if m, d, k or a layer width is not an int."""
+        ints = [data["m"], data["d"], data.get("k", 5), *data["encoder_layers"]]
+        if not all(type(v) is int for v in ints):
+            raise ValueError(f"m, d, k and encoder_layers must be integers, got {ints}")
         return cls(
             mode=data["mode"],
             m=data["m"],
@@ -178,22 +173,12 @@ class ModelParams:
         return out
 
     def copy(self):
-        return ModelParams(
-            X=self.X.copy(),
-            b=self.b.copy(),
-            V_local=None if self.V_local is None else self.V_local.copy(),
-            c_local=None if self.c_local is None else self.c_local.copy(),
-            enc_W=[W.copy() for W in self.enc_W],
-            enc_b=[b.copy() for b in self.enc_b],
-            W_mu=self.W_mu.copy(),
-            b_mu=self.b_mu.copy(),
-            W_logvar=self.W_logvar.copy(),
-            b_logvar=self.b_logvar.copy(),
-        )
+        return ModelParams.from_named({n: a.copy() for n, a in self.named_arrays().items()})
 
     @classmethod
-    def from_named(cls, named, config):
-        n_layers = len(config.encoder_layers)
+    def from_named(cls, named):
+        """Inverse of named_arrays."""
+        n_layers = sum(name.startswith("enc_W_") for name in named)
         return cls(
             X=named["X"],
             b=named["b"],
@@ -248,7 +233,7 @@ def init_params(config, rng):
     named = OrderedDict()
     for name, shape in expected_shapes(config).items():
         named[name] = xavier(shape) if len(shape) == 2 else np.zeros(shape)
-    return ModelParams.from_named(named, config)
+    return ModelParams.from_named(named)
 
 
 def _pack(docs):
@@ -353,11 +338,12 @@ def _encode_packed(ids, lengths, params, config):
 
 
 def encode(doc, params, config):
-    """Posterior q(z|w) from the document's bag-of-words counts."""
+    """Mean and log-variance, each (d,), of the posterior q(z|w) from the
+    document's bag-of-words counts."""
     if doc.length == 0:
         raise EmptyDocument("cannot encode an empty document")
     mu, log_var = encode_docs([doc], params, config)
-    return GaussianPosterior(mu=mu[0], log_var=log_var[0])
+    return mu[0], log_var[0]
 
 
 def _local_contexts(ids, lengths, params, config):
@@ -539,7 +525,7 @@ def elbo_estimates(docs, params, config, eps_list):
     ids, lengths = _pack(docs)
     mu, log_var = _encode_packed(ids, lengths, params, config)
     sd = _posterior_sd(log_var, context="evaluation")
-    kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))
+    kl = kl_standard_normal(mu, log_var)
     samples = [len(eps) for eps in eps_list]
     owner = np.repeat(np.arange(len(docs)), samples)
     Z = mu[owner] + sd[owner] * np.concatenate(eps_list)
@@ -668,7 +654,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     grads["b"] = G.sum(axis=0)
     dZ = G @ X_z
 
-    kl = kl_standard_normal(GaussianPosterior(mu=mu, log_var=log_var))  # (B,)
+    kl = kl_standard_normal(mu, log_var)  # (B,)
     estimates = [ElboEstimate(float(r), float(k_)) for r, k_ in zip(recon, kl)]
 
     dmu = dZ - mu

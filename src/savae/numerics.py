@@ -1,5 +1,5 @@
-"""Dense numeric kernel: activations, diagonal Gaussian posteriors, their
-analytic KL against a standard normal, perplexity, and a portable seeded RNG.
+"""Dense numeric kernel: activations, the analytic KL of a diagonal Gaussian
+against a standard normal, perplexity, and a portable seeded RNG.
 
 All arrays are 64-bit floats. The RNG is built on the Philox 4x64
 counter-based generator so that a given seed reproduces the same stream
@@ -7,12 +7,9 @@ bit-for-bit on every platform; normal draws use Box-Muller on top of the
 uniform stream instead of the host library's ziggurat sampler.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "GaussianPosterior",
     "RngStream",
     "kl_standard_normal",
     "perplexity",
@@ -84,22 +81,6 @@ class RngStream:
         return idx
 
 
-@dataclass
-class GaussianPosterior:
-    """Diagonal Gaussian q(z|w) with spread stored as log-variance."""
-
-    mu: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.log_var = np.asarray(self.log_var, dtype=np.float64)
-        if self.mu.shape != self.log_var.shape:
-            raise ValueError(
-                f"mu shape {self.mu.shape} != log_var shape {self.log_var.shape}"
-            )
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 
@@ -111,15 +92,16 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def kl_standard_normal(q):
-    """Analytic KL(q || N(0, I)) for a diagonal Gaussian q, summed over the
-    last axis: a scalar for one posterior, shape (B,) for a batch of them.
+def kl_standard_normal(mu, log_var):
+    """Analytic KL(q || N(0, I)) for the diagonal Gaussian q of means ``mu``
+    and log-variances ``log_var``, summed over the last axis: a scalar for
+    one posterior, shape (B,) for a batch of them.
 
     Each term is written ``expm1(lv) - lv``: expm1(x) >= x holds after
     rounding too, so the result is never negative, where
     ``exp(lv) - lv - 1`` cancels to a few ulps below zero near lv = 0.
     """
-    return 0.5 * np.sum(q.mu**2 + np.expm1(q.log_var) - q.log_var, axis=-1)
+    return 0.5 * np.sum(mu**2 + np.expm1(log_var) - log_var, axis=-1)
 
 
 def perplexity(nats_per_word):

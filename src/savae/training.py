@@ -9,7 +9,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,8 @@ class TrainConfig:
 
     def __post_init__(self):
         problems = []
-        if self.learning_rate <= 0:
-            problems.append("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            problems.append("learning_rate must be finite and > 0")
         if self.epochs < 1:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1:
@@ -246,7 +246,7 @@ def save_checkpoint(params, config, path):
     with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg = json.dumps(config.to_dict()).encode("utf-8")
+        cfg = json.dumps(asdict(config)).encode("utf-8")
         fh.write(struct.pack("<I", len(cfg)))
         fh.write(cfg)
         for name, arr in params.named_arrays().items():
@@ -272,14 +272,14 @@ def load_checkpoint(path):
             raise UnsupportedVersion(f"checkpoint version {version}")
         try:
             config = ModelConfig.from_dict(json.loads(r.read(r.u32())))
-        except (ValueError, KeyError) as err:
+        except (ValueError, KeyError, TypeError, ConfigError) as err:
             raise CorruptCheckpoint(f"bad config block: {err}") from err
         named = {}
         for want_name, want_shape in expected_shapes(config).items():
             name = r.string()
             if name != want_name:
                 raise CorruptCheckpoint(f"unexpected parameter '{name}'")
-            shape = r.u32s(r.u32())
+            shape = tuple(r.array("<u4", r.u32()).tolist())
             if shape != want_shape:
                 raise CorruptCheckpoint(
                     f"parameter '{name}' has shape {shape}, expected {want_shape}"
@@ -288,4 +288,4 @@ def load_checkpoint(path):
             named[name] = r.array("<f8", count).astype(np.float64, copy=False).reshape(shape)
         if fh.read(1):
             raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")
-    return ModelParams.from_named(named, config), config
+    return ModelParams.from_named(named), config

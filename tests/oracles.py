@@ -222,9 +222,9 @@ def encoder_posterior(ids, params):
     )
 
 
-def sample_reparameterized(q, eps):
+def sample_reparameterized(mu, log_var, eps):
     """z = mu + exp(log_var / 2) * eps for standard-normal eps."""
-    return q.mu + np.exp(0.5 * q.log_var) * np.asarray(eps, dtype=float)
+    return mu + np.exp(0.5 * log_var) * np.asarray(eps, dtype=float)
 
 
 def elbo_with_fixed_eps(docs, params, config, eps):
@@ -234,7 +234,7 @@ def elbo_with_fixed_eps(docs, params, config, eps):
     totals = np.empty(len(docs))
     for i, doc in enumerate(docs):
         q = encoder_posterior(doc.ids, params)
-        z = sample_reparameterized(q, eps[i])
+        z = sample_reparameterized(q.mu, q.log_var, eps[i])
         ll = naive_doc_log_likelihoods(doc.ids, z[None, :], params, config)[0]
         kl = 0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
         totals[i] = ll - kl
@@ -253,7 +253,7 @@ def dense_batch_elbo_gradients(docs, params, config, eps):
     d, k = config.d, config.k
     savae = config.mode == "savae"
     qs = [encoder_posterior(doc.ids, params) for doc in docs]
-    Z = np.array([sample_reparameterized(q, e) for q, e in zip(qs, eps)])
+    Z = np.array([sample_reparameterized(q.mu, q.log_var, e) for q, e in zip(qs, eps)])
     doc_of, targets, C = [], [], []
     for i, doc in enumerate(docs):
         for t, w in enumerate(doc.ids):

@@ -1,14 +1,19 @@
+import argparse
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import overflowing_log_variance
+import savae
 from savae import model, training
 from savae.corpus import CorpusSplit, Vocabulary, load_corpus_file, save_corpus_file
-from savae.cli import main, read_config_file
+from savae.cli import DEFAULTS, build_parser, main, read_config_file
 from savae.inference import DocRepresentation, write_representations
 
 GROUPS = {
@@ -63,6 +68,21 @@ COMMANDS = {
     "probe": ["--train", "rep/representations_train.csv",
               "--test", "rep/representations_test.csv"],
 }
+
+# (command, flag, config key, flag value, config-file value); the flag goes
+# after the subcommand unless the command is None, and then before "represent"
+FLAG_KEYS = [
+    ("preprocess", "--vocab-size", "corpus.vocab_size", "19", "25"),
+    ("train", "--mode", "model.mode", "nvdm", "savae"),
+    ("train", "--d", "model.d", "3", "4"),
+    ("train", "--k", "model.k", "3", "4"),
+    ("train", "--lr", "train.lr", "0.02", "0.5"),
+    ("train", "--epochs", "train.epochs", "2", "3"),
+    ("train", "--batch-size", "train.batch_size", "5", "6"),
+    ("eval-bound", "--samples", "model.eval_samples", "3", "4"),
+    ("represent", "--seed", "seed", "7", "5"),
+    (None, "--seed", "seed", "8", "5"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +182,64 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: IoError: no such (path|file|checkpoint): missing\n", err), err
         assert not (tmp_path / "failed" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value, file_value", FLAG_KEYS,
+        ids=[f"{command or 'before'}{flag}" for command, flag, *_ in FLAG_KEYS],
+    )
+    def test_flag_beats_config_file(
+        self, tmp_path, fitted, monkeypatch, capsys, command, flag, key, value, file_value
+    ):
+        monkeypatch.chdir(fitted)
+        (tmp_path / "run.cfg").write_text(f"{key}={file_value}\n")
+        if command is None:
+            argv = [flag, value, "represent", *COMMANDS["represent"]]
+        else:
+            argv = list(COMMANDS[command])
+            if flag in argv:
+                del argv[argv.index(flag) : argv.index(flag) + 2]
+            argv = [command, *argv, flag, value]
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path / "out", *argv]) == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert f"{key}={value}" in manifest
+        capsys.readouterr()
+
+    def test_every_dotted_flag_dest_is_a_config_key(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        dests = {
+            action.dest
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if "." in action.dest
+        }
+        assert dests <= set(DEFAULTS)
+        # and each is pinned by test_flag_beats_config_file
+        assert dests == {key for _, _, key, _, _ in FLAG_KEYS} - {"seed"}
+
+    def test_text_outputs_are_utf8_in_the_c_locale(self, tmp_path, capsys):
+        (tmp_path / "in.txt").write_text(
+            "a\tle café est ouvert\nb\tle café est fermé\n", encoding="utf-8"
+        )
+        assert run(["--out", tmp_path / "pre", "preprocess", "--input", tmp_path / "in.txt",
+                    "--format", "labeled-lines"]) == 0
+        assert run(["--out", tmp_path / "t", "train", "--corpus", tmp_path / "pre" / "corpus.savc",
+                    "--mode", "nvdm", "--d", 2, "--epochs", 1]) == 0
+        capsys.readouterr()
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(Path(savae.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "savae.cli", "--out", tmp_path / "nn", "neighbors",
+             "--checkpoint", tmp_path / "t" / "model.savm",
+             "--corpus", tmp_path / "pre" / "corpus.savc", "--words", "est", "--n", "4"],
+            env=env, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        # the query is ASCII, since a C locale decodes argv as ASCII; its
+        # neighbours are the rest of the vocabulary
+        text = (tmp_path / "nn" / "neighbors_global.txt").read_bytes().decode("utf-8")
+        assert text.startswith("est: ") and "café" in text and "fermé" in text
 
     def test_failed_trainlog_write_keeps_previous_file(
         self, tmp_path, corpus_dir, capsys, monkeypatch
@@ -291,6 +369,19 @@ class TestErrorsAndConfig:
         for fragment in ("d must be", "learning_rate", "epochs"):
             assert fragment in err
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--lr", "nan"], ""), (["--lr", "inf"], ""), ([], "train.lr=nan\n")],
+        ids=["flag-nan", "flag-inf", "config-nan"],
+    )
+    def test_non_finite_learning_rate(self, tmp_path, fitted, capsys, flags, config):
+        (tmp_path / "run.cfg").write_text(config)
+        code = run(["--config", tmp_path / "run.cfg", "--out", tmp_path / "t", "train",
+                    "--corpus", fitted / "pre" / "corpus.savc", "--epochs", 1, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ConfigError: learning_rate must be finite and > 0\n"
+        assert not (tmp_path / "t" / "model.savm").exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.mode=nvdm\nmodel.d=4  # comment\ntrain.epochs=2\n")
@@ -313,6 +404,32 @@ def _write_reps(path, rows):
         for i, (labels, vec) in enumerate(rows)
     ]
     write_representations(reps, path)
+
+
+def _config_block(old, new):
+    """An edit of a checkpoint's bytes that replaces ``old`` by ``new`` in its
+    JSON config block, ``{"mode": "nvdm", "m": 20, "d": 2, "k": 5,
+    "encoder_layers": [500, 500]}`` in ``fitted``, or all of it by ``new``
+    if ``old`` is None."""
+    def edit(data):
+        (n,) = struct.unpack("<I", data[8:12])
+        block = new if old is None else data[12 : 12 + n].replace(old, new)
+        assert block != data[12 : 12 + n]
+        return data[:8] + struct.pack("<I", len(block)) + block + data[12 + n :]
+    return edit
+
+
+# config-block edits that each load as a CorruptCheckpoint
+BAD_CONFIG_BLOCKS = [
+    ("m-string", b'"m": 20', b'"m": "x"', "m, d, k and encoder_layers must be integers"),
+    ("layers-int", b"[500, 500]", b"5", ""),
+    ("d-null", b'"d": 2', b'"d": null', "m, d, k and encoder_layers must be integers"),
+    ("json-list", None, b'["nvdm", 20, 2, 5, [500, 500]]', ""),
+    ("m-zero", b'"m": 20', b'"m": 0', "m must be >= 1"),
+    ("mode-lda", b'"nvdm"', b'"lda"', "mode must be 'savae' or 'nvdm', got 'lda'"),
+    ("d-fraction", b'"d": 2', b'"d": 2.5',
+     "m, d, k and encoder_layers must be integers, got [20, 2.5, 5, 500, 500]"),
+]
 
 
 class TestCategorizedErrors:
@@ -658,6 +775,15 @@ class TestCategorizedErrors:
                 "error: CorruptCheckpoint: parameter 'X' has shape (21, 2), expected (20, 2)\n",
                 id="checkpoint-wrong-shape",
             ),
+            *[
+                pytest.param(
+                    {"bad.savm": ("t/model.savm", _config_block(old, new))},
+                    ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
+                    f"error: CorruptCheckpoint: bad config block: {message}",
+                    id=f"checkpoint-config-{name}",
+                )
+                for name, old, new, message in BAD_CONFIG_BLOCKS
+            ],
         ],
     )
     def test_user_error(self, tmp_path, fitted, monkeypatch, capsys, files, argv, expected):

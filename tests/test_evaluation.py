@@ -325,7 +325,7 @@ class TestLinearProbe:
 
     def test_separable_blobs_perfect(self, np_rng):
         X, y = self._blobs(np_rng, sep=12.0)
-        acc = linear_probe(X, y, X, y, epochs=200)
+        acc = linear_probe(X, y, X, y)
         assert acc == 1.0
 
     def test_shuffled_labels_chance_level(self, np_rng):
@@ -333,7 +333,7 @@ class TestLinearProbe:
         y_shuffled = np_rng.permutation(y)
         Xt, yt = self._blobs(np_rng, n=400)
         yt = np_rng.permutation(yt)
-        acc = linear_probe(X, y_shuffled, Xt, yt, epochs=50)
+        acc = linear_probe(X, y_shuffled, Xt, yt)
         assert abs(acc - 0.5) <= 0.05
 
     def test_single_class_rejected(self, np_rng):

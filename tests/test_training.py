@@ -309,6 +309,16 @@ class TestCheckpointIo:
         for name, arr in params.named_arrays().items():
             np.testing.assert_array_equal(arr, loaded.named_arrays()[name])
 
+    def test_config_block_bytes(self, tmp_path):
+        cfg = tiny_config("savae", m=7, d=3, k=2, layers=(4, 3))
+        path = tmp_path / "model.savm"
+        save_checkpoint(random_model(cfg), cfg, path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        assert data[12 : 12 + cfg_len] == (
+            b'{"mode": "savae", "m": 7, "d": 3, "k": 2, "encoder_layers": [4, 3]}'
+        )
+
     def test_config_with_sample_count_train_loads(self, tmp_path):
         cfg = tiny_config("nvdm", m=5, d=2, layers=(3,))
         params = random_model(cfg, seed=4)

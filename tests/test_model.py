@@ -9,6 +9,7 @@ from conftest import overflowing_log_variance, random_doc, random_model, tiny_co
 from oracles import (
     bow_counts,
     dense_batch_elbo_gradients,
+    doc_log_likelihoods,
     elbo_with_fixed_eps,
     encoder_posterior,
     exact_doc_log_likelihoods,
@@ -24,7 +25,6 @@ from savae.errors import EmptyDocument, NonFiniteGradient
 from savae.model import (
     ModelConfig,
     batch_elbo_gradients,
-    doc_log_likelihoods,
     elbo,
     elbo_estimates,
     encode,
@@ -41,6 +41,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             ModelConfig(mode="bogus", m=0, d=0, encoder_layers=())
         assert len(exc.value.violations) >= 3
+
+    @pytest.mark.parametrize("layers", [(16, 0), (-3,)])
+    def test_rejects_encoder_layer_width_below_1(self, layers):
+        with pytest.raises(ConfigError, match="encoder_layers must all be >= 1"):
+            ModelConfig("nvdm", 10, 2, encoder_layers=layers)
 
     def test_decoder_dim(self):
         assert tiny_config("savae", d=3).decoder_dim == 6
@@ -207,6 +212,36 @@ class TestLocalContext:
         params.c_local[:] = [0.1, 0.2]
         expected = sigmoid(np.array([0.1 + 0.5 + 0.25, 0.2 - 1.0 + 2.0]))
         np.testing.assert_allclose(local_context([1, 4], params), expected, rtol=1e-15)
+
+
+@st.composite
+def packed_batches(draw):
+    """(config, params, ids, lengths) of a savae model: up to 8 packed
+    documents of 1 to k + 3 tokens, so shorter and longer than k, among them
+    single tokens."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 9))
+    lengths = draw(st.lists(st.integers(1, k + 3), min_size=1, max_size=8))
+    ids = draw(st.lists(st.integers(0, m - 1), min_size=sum(lengths), max_size=sum(lengths)))
+    config = ModelConfig(mode="savae", m=m, d=draw(st.integers(1, 3)), k=k, encoder_layers=(3,))
+    return config, random_model(config, seed=draw(st.integers(0, 2**16))), ids, lengths
+
+
+class TestWindowIndex:
+    @given(packed_batches())
+    @example((tiny_config(k=3), random_model(tiny_config(k=3)), [5], [1]))
+    @settings(max_examples=60, deadline=None)
+    def test_index_and_windows_match_the_oracle(self, case):
+        config, params, ids, lengths = case
+        T, k = len(ids), config.k
+        H, source = model._local_contexts(ids, lengths, params, config)
+        assert source.shape == (T, k)
+        start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        for t in range(T):
+            for o in range(1, k + 1):
+                assert source[t, k - o] == (T if t - o < start[t] else t - o)
+            window = ids[max(start[t], t - k) : t]
+            np.testing.assert_allclose(H[t], local_context(window, params), rtol=1e-15)
 
 
 class TestNextWordLogProb:

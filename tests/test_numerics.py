@@ -52,6 +52,17 @@ class TestActivations:
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
+    def test_sigmoid_matches_the_two_branch_formula_bitwise(self):
+        edges = np.array([0.0, 5e-324, 1e-300, 36.7, 709.8, 745.2, 800.0, np.inf])
+        drawn = np.random.default_rng(5).standard_normal((9318, 50))
+        for x in (np.concatenate([edges, -edges]), drawn):
+            e = np.exp(-np.abs(x))
+            want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            got = sigmoid(x)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
 
 class TestReparameterization:
     def test_zero_eps_gives_mu(self):

@@ -5,24 +5,11 @@ eval-cluster, neighbors, probe. Settings come from an optional key=value
 config file (dotted keys, e.g. ``model.d=50``) overridden by flags, each
 of which stores its value under the key it overrides; the effective
 configuration is echoed to a run manifest in the output directory.
-
-The SAVAE_THREADS environment variable bounds the BLAS worker count.
 """
 
 import argparse
 import os
 import sys
-
-
-def _bound_threads():
-    threads = os.environ.get("SAVAE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-_bound_threads()  # must run before numpy is first imported
-
 from pathlib import Path
 
 import numpy as np

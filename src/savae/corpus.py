@@ -5,27 +5,17 @@ Tokenization lowercases and keeps maximal runs of two or more word
 characters (letters, digits, underscore); single-character tokens are
 dropped and no stopword filtering is applied.
 
-The corpus file (version 2) is a sequence of whole little-endian arrays,
-so that it is read with one ``np.frombuffer`` per section:
-
-- header: magic ``SAVC``, u32 version, i64 shuffle seed, u32 vocabulary
-  size n, u32 number of distinct labels L;
-- vocabulary: u32[n] token byte lengths, the UTF-8 tokens as one blob,
-  u64[n] training-corpus counts;
-- labels: u32[L] byte lengths and one UTF-8 blob, in sorted order;
-- for the train split, then the test split: u32 document count N,
-  u32[N] document lengths, u32[N] label counts, the u32 label indices of
-  all documents, then the u32 token ids of all documents.
-
-Only version 2 is read. A file of any other version, such as version 1,
-which wrote each document as its own fields, is an ``UnsupportedVersion``;
-``savae preprocess`` rebuilds the same file from the same input text,
-``--vocab-size`` and ``--seed``.
+The corpus file is version 3 of ``fileio``'s container, magic ``SAVC``.
+Header: ``shuffle_seed``, the vocabulary's ``tokens`` and the sorted
+distinct ``labels``. Sections: ``counts`` (``<u8``), then for the train
+and the test split ``{split}.lengths`` and ``{split}.label_counts`` per
+document and the concatenated ``{split}.labels`` and ``{split}.ids`` of
+its documents (``<u4``). Any other version, such as version 2, is an
+``UnsupportedVersion``; ``savae preprocess`` rebuilds the file from the
+same input text, ``--vocab-size`` and ``--seed``.
 """
 
-import io
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
@@ -33,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
-from .fileio import Reader, atomic_write
+from .errors import CorruptFile, EmptyCorpus, IoError, ParseError
+from .fileio import ContainerReader, write_container
 from .numerics import RngStream
 
 __all__ = [
@@ -54,7 +44,7 @@ __all__ = [
 _TOKEN_RE = re.compile(r"(?u)\b\w\w+\b")
 
 CORPUS_MAGIC = b"SAVC"
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
 
 
 def tokenize(text):
@@ -208,53 +198,28 @@ def load_corpus(path, format):
 
 
 # ---------------------------------------------------------------------------
-# versioned binary corpus file ("SAVC"); all integers little-endian
+# versioned binary corpus file ("SAVC")
 # ---------------------------------------------------------------------------
 
 
-def _write_strings(fh, strings):
-    data = [s.encode("utf-8") for s in strings]
-    fh.write(np.array([len(b) for b in data], dtype="<u4").tobytes())
-    fh.write(b"".join(data))
-
-
-def _write_docs(fh, docs, label_index):
-    doc_labels = [sorted(label_index[lab] for lab in doc.labels) for doc in docs]
-    fh.write(struct.pack("<I", len(docs)))
-    for column in (
-        [len(doc.ids) for doc in docs],
-        [len(labs) for labs in doc_labels],
-        list(chain.from_iterable(doc_labels)),
-        list(chain.from_iterable(doc.ids for doc in docs)),
-    ):
-        fh.write(np.array(column, dtype="<u4").tobytes())
-
-
 def save_corpus_file(split, path):
-    """Write ``split`` as a version-2 corpus file (see the module docstring)."""
-    vocab = split.vocabulary
+    """Write ``split`` as a version-3 corpus file (see the module docstring)."""
     labels = sorted(set().union(*(doc.labels for doc in split.train + split.test)))
     label_index = {lab: i for i, lab in enumerate(labels)}
-    with atomic_write(path) as fh:
-        fh.write(CORPUS_MAGIC)
-        fh.write(struct.pack("<IqII", CORPUS_VERSION, split.shuffle_seed, len(vocab), len(labels)))
-        _write_strings(fh, vocab.tokens)
-        fh.write(np.array(vocab.counts, dtype="<u8").tobytes())
-        _write_strings(fh, labels)
-        _write_docs(fh, split.train, label_index)
-        _write_docs(fh, split.test, label_index)
-
-
-def _vocabulary(tokens, counts, r):
-    try:
-        return Vocabulary(tokens=tokens, counts=counts)
-    except ValueError as err:
-        raise CorruptFile(f"bad vocabulary in {r.source}: {err}") from None
-
-
-def _check_below(top, limit, what, r):
-    if top >= limit:
-        raise CorruptFile(f"{what} {top} out of range (< {limit}) in {r.source}")
+    sections = {"counts": split.vocabulary.counts}
+    for name, docs in (("train", split.train), ("test", split.test)):
+        doc_labels = [sorted(label_index[lab] for lab in doc.labels) for doc in docs]
+        sections[f"{name}.lengths"] = [len(doc.ids) for doc in docs]
+        sections[f"{name}.label_counts"] = [len(labs) for labs in doc_labels]
+        sections[f"{name}.labels"] = list(chain.from_iterable(doc_labels))
+        sections[f"{name}.ids"] = list(chain.from_iterable(doc.ids for doc in docs))
+    header = {
+        "shuffle_seed": split.shuffle_seed,
+        "tokens": split.vocabulary.tokens,
+        "labels": labels,
+        "dtypes": dict.fromkeys(sections, "<u4") | {"counts": "<u8"},
+    }
+    write_container(path, CORPUS_MAGIC, CORPUS_VERSION, header, sections)
 
 
 def _offsets(lengths):
@@ -262,23 +227,15 @@ def _offsets(lengths):
     return list(pairwise([0, *np.cumsum(lengths, dtype=np.int64).tolist()]))
 
 
-def _read_strings(r, n):
-    bounds = _offsets(r.array("<u4", n))
-    blob = r.read(bounds[-1][1] if bounds else 0)
-    try:
-        return [blob[a:b].decode("utf-8") for a, b in bounds]
-    except UnicodeDecodeError:
-        raise CorruptFile(f"invalid UTF-8 string in {r.source}") from None
-
-
-def _read_docs(r, n_vocab, labels):
-    n = r.u32()
-    lengths = r.array("<u4", n)
-    label_counts = r.array("<u4", n)
-    label_ids = r.array("<u4", int(label_counts.sum()))
-    ids = r.array("<u4", int(lengths.sum()))
-    _check_below(ids.max() if ids.size else -1, n_vocab, "token id", r)
-    _check_below(label_ids.max() if label_ids.size else -1, len(labels), "label index", r)
+def _read_docs(r, split, n_vocab, labels):
+    lengths = r.section(f"{split}.lengths", "<u4", (None,))
+    label_counts = r.section(f"{split}.label_counts", "<u4", lengths.shape)
+    label_ids = r.section(f"{split}.labels", "<u4", (int(label_counts.sum()),))
+    ids = r.section(f"{split}.ids", "<u4", (int(lengths.sum()),))
+    bounds = ((ids, n_vocab, "token id"), (label_ids, len(labels), "label index"))
+    for values, limit, what in bounds:
+        if values.size and values.max() >= limit:
+            raise CorruptFile(f"{what} {values.max()} out of range (< {limit}) in {r.source}")
     flat = ids.tolist()
     names = [labels[i] for i in label_ids.tolist()]
     return [
@@ -287,32 +244,30 @@ def _read_docs(r, n_vocab, labels):
     ]
 
 
+def _is_strings(values):
+    return type(values) is list and all(type(v) is str for v in values)
+
+
 def load_corpus_file(path):
-    """Read a version-2 corpus file; any damage is a CorruptFile."""
+    """Read a version-3 corpus file; any damage is a CorruptFile."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such file: {path}")
-    fh = io.BytesIO(path.read_bytes())
-    r = Reader(fh, CorruptFile, f"corpus file {path}")
-    if r.read(4) != CORPUS_MAGIC:
-        raise CorruptFile(f"bad magic in corpus file {path}")
-    version = r.u32()
-    if version != CORPUS_VERSION:
-        raise UnsupportedVersion(
-            f"corpus file {path} has format version {version}; only version "
-            f"{CORPUS_VERSION} is read, so rebuild it with savae preprocess"
-        )
-    seed = int(r.array("<i8", 1)[0])
-    n_vocab = r.u32()
-    n_labels = r.u32()
-    tokens = _read_strings(r, n_vocab)
-    counts = r.array("<u8", n_vocab).tolist()
-    labels = _read_strings(r, n_labels)
-    train = _read_docs(r, n_vocab, labels)
-    test = _read_docs(r, n_vocab, labels)
-    vocab = _vocabulary(tokens, counts, r)
-    if fh.read(1):
-        raise CorruptFile(f"trailing bytes after the last document in {path}")
+    source = f"corpus file {path}"
+    with path.open("rb") as fh:
+        r = ContainerReader(fh, CORPUS_MAGIC, CORPUS_VERSION, CorruptFile, source,
+                            ", so rebuild it with savae preprocess")
+        seed, tokens, labels = (r.header.get(key) for key in ("shuffle_seed", "tokens", "labels"))
+        if not (type(seed) is int and _is_strings(tokens) and _is_strings(labels)):
+            raise CorruptFile(f"header block in {source} lacks an int shuffle_seed or a "
+                              "list of strings for tokens or labels")
+        counts = r.section("counts", "<u8", (len(tokens),)).tolist()
+        train, test = [_read_docs(r, split, len(tokens), labels) for split in ("train", "test")]
+        r.finish()
+    try:
+        vocab = Vocabulary(tokens=tokens, counts=counts)
+    except ValueError as err:
+        raise CorruptFile(f"bad vocabulary in {source}: {err}") from None
     return CorpusSplit(train=train, test=test, vocabulary=vocab, shuffle_seed=seed)
 
 

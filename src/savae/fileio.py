@@ -1,6 +1,16 @@
-"""Atomic file writes, UTF-8 lines of text files and the little-endian
-reader shared by the binary files."""
+"""Atomic file writes, UTF-8 lines of text files and the binary container
+that corpus files and checkpoints are stored in.
 
+A container holds a 4-byte magic, a u32 format version, a u32 byte length
+and a UTF-8 JSON object (the header), then sections to the end of the
+file: a u32-length UTF-8 name, a u32 rank, u32 dimensions and the array's
+values in C order. All integers are little-endian, and a section's values
+are ``<f8`` unless the header's ``"dtypes"`` object maps its name to
+``<u4`` or ``<u8``.
+"""
+
+import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -8,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedVersion
 
 
 @contextmanager
@@ -40,46 +50,87 @@ def utf8_lines(fh, path):
             raise ParseError(f"invalid UTF-8 in {path}", lineno) from None
 
 
-class Reader:
-    """Little-endian fields from a seekable binary file; a read past the end
-    of the file or a string that is not UTF-8 raises the exception class
-    ``error``, naming ``source``. The bytes left in the file are checked
-    before each read, so a damaged length field allocates nothing."""
+def write_container(path, magic, version, header, sections):
+    """Atomically write ``header``, a JSON object, and the arrays (or lists)
+    of the name -> values map ``sections``, in its order, as a container."""
+    dtypes = header.get("dtypes", {})
+    head = json.dumps(header).encode("utf-8")
+    with atomic_write(path) as fh:
+        fh.write(magic + struct.pack("<II", version, len(head)) + head)
+        for name, values in sections.items():
+            arr = np.ascontiguousarray(values, dtype=dtypes.get(name, "<f8"))
+            key = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(key)}s", len(key), key))
+            fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+            # write a copy, as the per-field writer did: freeing a large copy raises
+            # glibc's mmap threshold, so later big temporaries reuse heap pages
+            fh.write(arr.tobytes())
 
-    def __init__(self, fh, error, source):
+
+class ContainerReader:
+    """The container in the seekable binary file ``fh``, read in order: its
+    ``header`` on construction, then each ``section``, then ``finish``.
+    Damage raises ``error`` naming ``source``, after a check of the bytes
+    left, so a damaged length field allocates nothing. Another version is
+    an ``UnsupportedVersion``, whose message ends with ``advice``."""
+
+    def __init__(self, fh, magic, version, error, source, advice=""):
         self.fh = fh
         self.error = error
         self.source = source
-        here = fh.tell()
         self.end = fh.seek(0, os.SEEK_END)
-        fh.seek(here)
+        fh.seek(0)
+        if self._read("u1", (len(magic),)).tobytes() != magic:
+            raise error(f"bad magic in {source}")
+        found = self._u32()
+        if found != version:
+            raise UnsupportedVersion(
+                f"{source} has format version {found}; only version {version} is read{advice}"
+            )
+        try:
+            self.header = json.loads(self._string())
+        except ValueError as err:
+            raise error(f"header block in {source} is not JSON: {err}") from None
+        self.dtypes = self.header.get("dtypes", {}) if isinstance(self.header, dict) else None
+        if not isinstance(self.dtypes, dict):
+            raise error(f"header block in {source} is not a JSON object, or its dtypes are not one")
 
-    def _check_remaining(self, n):
-        if n > self.end - self.fh.tell():
+    def _read(self, dtype, shape):
+        """A new array of ``dtype`` and ``shape`` from the file, allocated only
+        once the bytes left are known to hold it."""
+        if math.prod(shape) * np.dtype(dtype).itemsize > self.end - self.fh.tell():
             raise self.error(f"truncated {self.source}")
-
-    def read(self, n):
-        self._check_remaining(n)
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise self.error(f"truncated {self.source}")
-        return data
-
-    def u32(self):
-        return struct.unpack("<I", self.read(4))[0]
-
-    def array(self, dtype, n):
-        """``n`` values of the NumPy ``dtype``, read straight into a new array."""
-        dtype = np.dtype(dtype)
-        self._check_remaining(dtype.itemsize * n)
-        out = np.empty(n, dtype)
+        out = np.empty(shape, dtype)
         if self.fh.readinto(out) != out.nbytes:
             raise self.error(f"truncated {self.source}")
         return out
 
-    def string(self):
-        data = self.read(self.u32())
+    def _u32(self):
+        return int(self._read("<u4", (1,))[0])
+
+    def _string(self):
         try:
-            return data.decode("utf-8")
+            return self._read("u1", (self._u32(),)).tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise self.error(f"invalid UTF-8 string in {self.source}") from None
+
+    def section(self, name, dtype, shape):
+        """The next section's array, which must be called ``name`` and be of
+        ``dtype`` and ``shape``; a None in ``shape`` matches any length."""
+        found = self._string()
+        if found != name:
+            raise self.error(f"unexpected section '{found}' in {self.source}; expected '{name}'")
+        where = f"section '{name}' in {self.source}"
+        stored = self.dtypes.get(name, "<f8")
+        if stored != dtype:
+            raise self.error(f"{where} has dtype {stored}, expected {dtype}")
+        dims = tuple(self._read("<u4", (self._u32(),)).tolist())
+        if len(dims) != len(shape) or any(w is not None and w != n for n, w in zip(dims, shape)):
+            raise self.error(f"{where} has shape {dims}, expected {shape}")
+        out = self._read(dtype, dims)
+        return out.astype(out.dtype.newbyteorder("="), copy=False)
+
+    def finish(self):
+        """Raise unless the last section ended the file."""
+        if self.fh.tell() != self.end:
+            raise self.error(f"trailing bytes after the last section in {self.source}")

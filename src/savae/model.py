@@ -44,7 +44,7 @@ product, which is faster there.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -126,20 +126,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of ``dataclasses.asdict``; ignores ``sample_count_train`` and
-        ``sample_count_eval``, which older checkpoints carry (training always
-        draws one sample, and the bound takes its sample count as an argument).
-        Raises ValueError if m, d, k or a layer width is not an int."""
-        ints = [data["m"], data["d"], data.get("k", 5), *data["encoder_layers"]]
+        """Inverse of ``dataclasses.asdict``; absent fields take their defaults,
+        and other keys, such as the ``sample_count_*`` of older checkpoints,
+        are ignored. Raises ValueError if m, d, k or a layer width is not an
+        int."""
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        ints = [kwargs[key] for key in ("m", "d", "k") if key in kwargs]
+        ints += kwargs.get("encoder_layers", ())
         if not all(type(v) is int for v in ints):
             raise ValueError(f"m, d, k and encoder_layers must be integers, got {ints}")
-        return cls(
-            mode=data["mode"],
-            m=data["m"],
-            d=data["d"],
-            k=data.get("k", 5),
-            encoder_layers=tuple(data["encoder_layers"]),
-        )
+        return cls(**kwargs)
 
 
 @dataclass
@@ -587,6 +583,27 @@ def _local_softmax_blocks(zl, H, X_local, targets, lengths):
     return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G, dX_local_T.T, dH
 
 
+def _local_channel_gradients(Z, zl, targets, lengths, params, config):
+    """The savae half of ``batch_elbo_gradients``: log-likelihoods, G and the
+    gradients of X, c_local and V_local. The local channel's (T, d) arrays
+    are freed on return, before the encoder's backward, where a training
+    step's memory peaks."""
+    m, d = config.m, config.d
+    H, source = _local_contexts(targets, lengths, params, config)  # (T, d)
+    recon, G, dX_local, dH = _local_softmax_blocks(zl, H, params.X[:, d:], targets, lengths)
+    dS = dH * H * (1.0 - H)
+    # the word at position u is in the windows of the next k positions of
+    # its document; R[u] sums their dS, nearest first, and row T takes the
+    # empty slots (within a column, T is the only repeated index). V_local's
+    # gradient sums R by word, in one bincount over (word, column) bins.
+    R = np.zeros((len(targets) + 1, d))
+    for column in source.T[::-1]:
+        R[column] += dS
+    bins = (targets[:, None] * d + np.arange(d)).ravel()
+    dV_local = np.bincount(bins, R[:-1].ravel(), m * d).reshape(m, d)
+    return recon, G, np.concatenate([G.T @ Z, dX_local], axis=1), dS.sum(axis=0), dV_local
+
+
 def batch_elbo_gradients(docs, params, config, eps):
     """Summed single-sample ELBO gradients over a batch of documents.
 
@@ -600,7 +617,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     only G, the per-document sums of the logit gradients: ``dX_z = G^T Z``,
     ``dZ = G X_z`` and ``db = G.sum(0)``. In nvdm mode all positions of a
     document share their logits and G comes from word counts; in savae
-    mode ``_local_softmax_blocks`` yields it block by block.
+    mode ``_local_channel_gradients`` yields it.
 
     Raises ``NonFiniteGradient`` naming the encoder log-variance when an
     entry is not finite or so large that its ``exp`` would overflow.
@@ -623,24 +640,9 @@ def batch_elbo_gradients(docs, params, config, eps):
     zl = Z @ X_z.T + params.b  # (B, m)
     grads = OrderedDict()
     if config.mode == SAVAE:
-        H, source = _local_contexts(targets, lengths, params, config)  # (T, d)
-        X_local = params.X[:, d:]
-        recon, G, dX_local, dH = _local_softmax_blocks(zl, H, X_local, targets, lengths)
-        grads["X"] = np.concatenate([G.T @ Z, dX_local], axis=1)
-        dS = dH * H * (1.0 - H)
-        grads["c_local"] = dS.sum(axis=0)
-        # the word at position u is in the windows of the next k positions
-        # of its document; R[u] sums their dS, nearest first, and row T takes
-        # the empty slots (within a column, T is the only repeated index).
-        # V_local's gradient sums R by word, in one bincount over (word,
-        # column) bins, left unnamed so that they are freed before the
-        # encoder's backward, where the step's memory peaks.
-        R = np.zeros((len(targets) + 1, d))
-        for column in source.T[::-1]:
-            R[column] += dS
-        grads["V_local"] = np.bincount(
-            (targets[:, None] * d + np.arange(d)).ravel(), R[:-1].ravel(), m * d
-        ).reshape(m, d)
+        recon, G, grads["X"], grads["c_local"], grads["V_local"] = _local_channel_gradients(
+            Z, zl, targets, lengths, params, config
+        )
     else:
         # a dense encoder block already holds the (B, m) counts
         counts = acts[0] if words is None else _packed_counts(targets, lengths, m)

@@ -5,9 +5,7 @@ gradients; Adam then ascends the ELBO. Everything is driven by derived
 RNG substreams so that a seed fully determines the final checkpoint.
 """
 
-import json
 import math
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,9 +19,8 @@ from .errors import (
     EmptyCorpus,
     IoError,
     NonFiniteGradient,
-    UnsupportedVersion,
 )
-from .fileio import Reader, atomic_write
+from .fileio import ContainerReader, write_container
 from .model import ModelConfig, ModelParams, expected_shapes
 from .numerics import RngStream, perplexity
 
@@ -70,6 +67,8 @@ class TrainConfig:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
+        if self.checkpoint_every < 0:
+            problems.append("checkpoint_every must be >= 0")
         if problems:
             raise ConfigError(problems)
 
@@ -238,24 +237,14 @@ def train(corpus, model_config, train_config, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file ("SAVM"); little-endian, f64 parameter payloads
+# checkpoint file ("SAVM"): a fileio container of the config and parameters
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(params, config, path):
-    with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg = json.dumps(asdict(config)).encode("utf-8")
-        fh.write(struct.pack("<I", len(cfg)))
-        fh.write(cfg)
-        for name, arr in params.named_arrays().items():
-            data = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(data)))
-            fh.write(data)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, asdict(config), params.named_arrays()
+    )
 
 
 def load_checkpoint(path):
@@ -264,28 +253,13 @@ def load_checkpoint(path):
     if not path.exists():
         raise IoError(f"no such checkpoint: {path}")
     with path.open("rb") as fh:
-        r = Reader(fh, CorruptCheckpoint, f"checkpoint {path}")
-        if r.read(4) != CHECKPOINT_MAGIC:
-            raise CorruptCheckpoint(f"bad magic in checkpoint {path}")
-        version = r.u32()
-        if version != CHECKPOINT_VERSION:
-            raise UnsupportedVersion(f"checkpoint version {version}")
+        r = ContainerReader(
+            fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CorruptCheckpoint, f"checkpoint {path}"
+        )
         try:
-            config = ModelConfig.from_dict(json.loads(r.read(r.u32())))
+            config = ModelConfig.from_dict(r.header)
         except (ValueError, KeyError, TypeError, ConfigError) as err:
             raise CorruptCheckpoint(f"bad config block: {err}") from err
-        named = {}
-        for want_name, want_shape in expected_shapes(config).items():
-            name = r.string()
-            if name != want_name:
-                raise CorruptCheckpoint(f"unexpected parameter '{name}'")
-            shape = tuple(r.array("<u4", r.u32()).tolist())
-            if shape != want_shape:
-                raise CorruptCheckpoint(
-                    f"parameter '{name}' has shape {shape}, expected {want_shape}"
-                )
-            count = int(np.prod(shape, dtype=np.int64))
-            named[name] = r.array("<f8", count).astype(np.float64, copy=False).reshape(shape)
-        if fh.read(1):
-            raise CorruptCheckpoint(f"trailing bytes after the last parameter in {path}")
+        named = {n: r.section(n, "<f8", shape) for n, shape in expected_shapes(config).items()}
+        r.finish()
     return ModelParams.from_named(named), config

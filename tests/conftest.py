@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -40,6 +42,22 @@ def overflowing_log_variance():
     params.enc_W[0][:] = [[1.185, 1.096, 0.484]]
     params.W_logvar[:] = [[1.034], [1.071], [0.934]]
     return config, params, [Document(ids=[0] * 260)]
+
+
+def container_bytes(magic, version, header, sections):
+    """A container laid out by hand as the ``fileio`` docstring documents it.
+
+    ``header`` is a JSON-able object or the raw bytes of the header block,
+    and ``sections`` a list of (name, dtype, values) that may repeat names.
+    """
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    out = magic + struct.pack("<II", version, len(head)) + head
+    for name, dtype, values in sections:
+        arr = np.asarray(values, dtype=dtype)
+        key = name.encode("utf-8")
+        out += struct.pack(f"<I{len(key)}sI{arr.ndim}I", len(key), key, arr.ndim, *arr.shape)
+        out += arr.tobytes()
+    return out
 
 
 @pytest.fixture

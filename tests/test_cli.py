@@ -426,17 +426,23 @@ def _config_block(old, new):
     return edit
 
 
-# config-block edits that each load as a CorruptCheckpoint
+# config-block edits that each load as a CorruptCheckpoint with the message
+# that follows the category
 BAD_CONFIG_BLOCKS = [
-    ("m-string", b'"m": 20', b'"m": "x"', "m, d, k and encoder_layers must be integers"),
-    ("layers-int", b"[500, 500]", b"5", ""),
-    ("d-null", b'"d": 2', b'"d": null', "m, d, k and encoder_layers must be integers"),
-    ("json-list", None, b'["nvdm", 20, 2, 5, [500, 500]]', ""),
-    ("m-zero", b'"m": 20', b'"m": 0', "m must be >= 1"),
-    ("layer-zero", b"[500, 500]", b"[0]", "encoder_layers must all be >= 1, got [0]"),
-    ("mode-lda", b'"nvdm"', b'"lda"', "mode must be 'savae' or 'nvdm', got 'lda'"),
+    ("m-string", b'"m": 20', b'"m": "x"',
+     "bad config block: m, d, k and encoder_layers must be integers"),
+    ("layers-int", b"[500, 500]", b"5", "bad config block: "),
+    ("d-null", b'"d": 2', b'"d": null',
+     "bad config block: m, d, k and encoder_layers must be integers"),
+    ("json-list", None, b'["nvdm", 20, 2, 5, [500, 500]]',
+     "header block in checkpoint bad.savm is not a JSON object, or its dtypes are not one\n"),
+    ("m-zero", b'"m": 20', b'"m": 0', "bad config block: m must be >= 1"),
+    ("layer-zero", b"[500, 500]", b"[0]",
+     "bad config block: encoder_layers must all be >= 1, got [0]"),
+    ("mode-lda", b'"nvdm"', b'"lda"',
+     "bad config block: mode must be 'savae' or 'nvdm', got 'lda'"),
     ("d-fraction", b'"d": 2', b'"d": 2.5',
-     "m, d, k and encoder_layers must be integers, got [20, 2.5, 5, 500, 500]"),
+     "bad config block: m, d, k and encoder_layers must be integers, got [20, 2.5, 5, 500, 500]"),
 ]
 
 
@@ -493,10 +499,8 @@ class TestCategorizedErrors:
              "--format", "newsgroup-dirs", "--vocab-size", 20, "--seed", 2])
         corpus = tmp_path / "pre" / "corpus.savc"
         data = bytearray(corpus.read_bytes())
-        # the 24-byte header, whose vocabulary size sits at byte 16, and the
-        # u32 token lengths come before the first token's first byte
-        (n_vocab,) = struct.unpack("<I", data[16:20])
-        data[24 + 4 * n_vocab] = 0xFF
+        # the first token's first byte, in the header's JSON list of tokens
+        data[data.index(b'"tokens": ["') + len(b'"tokens": ["')] = 0xFF
         corpus.write_bytes(bytes(data))
         capsys.readouterr()
         code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
@@ -510,8 +514,10 @@ class TestCategorizedErrors:
         corpus = tmp_path / "pre" / "corpus.savc"
         data = bytearray(corpus.read_bytes())
         # the test split is empty, so the file ends with the last train
-        # document's last token id and the test split's document count
-        data[-8:-4] = struct.pack("<I", 20)
+        # document's last token id and the test split's four empty sections,
+        # each a u32 name length, its name, a u32 rank of 1 and a u32 length of 0
+        tail = sum(12 + len(f"test.{s}") for s in ("lengths", "label_counts", "labels", "ids"))
+        data[-tail - 4 : -tail] = struct.pack("<I", 20)
         corpus.write_bytes(bytes(data))
         capsys.readouterr()
         code = run(["--out", tmp_path / "t", "train", "--corpus", corpus])
@@ -741,6 +747,12 @@ class TestCategorizedErrors:
                 id="encoder-layer-width-0",
             ),
             pytest.param(
+                {"ckpt.cfg": b"train.checkpoint_every=-3\n"},
+                ["--config", "ckpt.cfg", "train", "--corpus", "fit/pre/corpus.savc"],
+                "error: ConfigError: checkpoint_every must be >= 0\n",
+                id="negative-checkpoint-every",
+            ),
+            pytest.param(
                 {},
                 ["neighbors", "--checkpoint", "fit/t/model.savm", "--corpus",
                  "fit/pre/corpus.savc", "--words", "the", "--space", "local"],
@@ -758,7 +770,7 @@ class TestCategorizedErrors:
                 {"v1.savc": ("pre/corpus.savc", lambda b: b[:4] + struct.pack("<I", 1) + b[8:])},
                 ["train", "--corpus", "v1.savc"],
                 "error: UnsupportedVersion: corpus file v1.savc has format version 1; only "
-                "version 2 is read, so rebuild it with savae preprocess\n",
+                "version 3 is read, so rebuild it with savae preprocess\n",
                 id="corpus-version-1",
             ),
             pytest.param(
@@ -770,7 +782,7 @@ class TestCategorizedErrors:
             pytest.param(
                 {"bad.savm": ("t/model.savm", lambda b: b[:12] + b"!" + b[13:])},
                 ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
-                "error: CorruptCheckpoint: bad config block: ",
+                "error: CorruptCheckpoint: header block in checkpoint bad.savm is not JSON: ",
                 id="checkpoint-unparsable-config",
             ),
             pytest.param(
@@ -778,7 +790,8 @@ class TestCategorizedErrors:
                 {"bad.savm": ("t/model.savm",
                               lambda b: b.replace(b"\x01\x00\x00\x00X", b"\x01\x00\x00\x00Y", 1))},
                 ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
-                "error: CorruptCheckpoint: unexpected parameter 'Y'\n",
+                "error: CorruptCheckpoint: unexpected section 'Y' in checkpoint bad.savm; "
+                "expected 'X'\n",
                 id="checkpoint-unexpected-name",
             ),
             pytest.param(
@@ -786,14 +799,15 @@ class TestCategorizedErrors:
                 {"bad.savm": ("t/model.savm", lambda b: b.replace(
                     b"X\x02\x00\x00\x00\x14\x00", b"X\x02\x00\x00\x00\x15\x00", 1))},
                 ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
-                "error: CorruptCheckpoint: parameter 'X' has shape (21, 2), expected (20, 2)\n",
+                "error: CorruptCheckpoint: section 'X' in checkpoint bad.savm has shape "
+                "(21, 2), expected (20, 2)\n",
                 id="checkpoint-wrong-shape",
             ),
             *[
                 pytest.param(
                     {"bad.savm": ("t/model.savm", _config_block(old, new))},
                     ["represent", "--checkpoint", "bad.savm", "--corpus", "fit/pre/corpus.savc"],
-                    f"error: CorruptCheckpoint: bad config block: {message}",
+                    f"error: CorruptCheckpoint: {message}",
                     id=f"checkpoint-config-{name}",
                 )
                 for name, old, new, message in BAD_CONFIG_BLOCKS

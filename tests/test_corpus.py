@@ -1,5 +1,7 @@
+import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,34 @@ from savae.corpus import (
     strip_newsgroup_metadata,
     tokenize,
 )
+from conftest import container_bytes
 from savae.errors import CorruptFile, EmptyCorpus, IoError, ParseError, UnsupportedVersion
 
-WRITERS = {"v2": save_corpus_file}
+# the header and sections of a version-3 corpus file of one training
+# document, "aa bb" labelled "x", and no test documents
+TINY_HEADER = {
+    "shuffle_seed": 2,
+    "tokens": ["aa", "bb"],
+    "labels": ["x"],
+    "dtypes": {"counts": "<u8", **{f"{split}.{column}": "<u4" for split in ("train", "test")
+                                   for column in ("lengths", "label_counts", "labels", "ids")}},
+}
+TINY_SECTIONS = [
+    ("counts", "<u8", [2, 1]),
+    ("train.lengths", "<u4", [2]),
+    ("train.label_counts", "<u4", [1]),
+    ("train.labels", "<u4", [0]),
+    ("train.ids", "<u4", [0, 1]),
+    ("test.lengths", "<u4", []),
+    ("test.label_counts", "<u4", []),
+    ("test.labels", "<u4", []),
+    ("test.ids", "<u4", []),
+]
+
+
+def _replaced(name, values):
+    """TINY_SECTIONS with section ``name`` holding ``values``."""
+    return [(n, dt, values if n == name else v) for n, dt, v in TINY_SECTIONS]
 
 
 @st.composite
@@ -267,36 +294,128 @@ class TestCorpusFile:
         with pytest.raises(CorruptFile, match="trailing bytes"):
             load_corpus_file(path)
 
-    @pytest.mark.parametrize("version", sorted(WRITERS))
-    def test_every_proper_prefix_is_corrupt(self, tmp_path, version):
+    def test_every_proper_prefix_is_corrupt(self, tmp_path):
         path = tmp_path / "corpus.savc"
-        WRITERS[version](self._split(), path)
+        save_corpus_file(self._split(), path)
         data = path.read_bytes()
         for n in range(len(data)):
             path.write_bytes(data[:n])
-            with pytest.raises(CorruptFile):
+            with pytest.raises(CorruptFile, match=re.escape(f"corpus file {path}")):
                 load_corpus_file(path)
 
     @given(corpus_splits())
     @settings(max_examples=60, deadline=None)
     def test_random_splits_round_trip(self, split):
         with tempfile.TemporaryDirectory() as tmp:
-            for version, write in WRITERS.items():
-                path = Path(tmp) / f"{version}.savc"
-                write(split, path)
-                assert load_corpus_file(path) == split, version
+            path = Path(tmp) / "corpus.savc"
+            save_corpus_file(split, path)
+            assert load_corpus_file(path) == split
 
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "corpus.savc"
         save_corpus_file(self._split(), path)
         data = bytearray(path.read_bytes())
-        for version in (1, 3):
+        for version in (1, 2, 4):
             data[4:8] = struct.pack("<I", version)
             path.write_bytes(bytes(data))
-            with pytest.raises(UnsupportedVersion, match=f"version {version};.*savae preprocess"):
+            with pytest.raises(
+                UnsupportedVersion, match=f"version {version}; only version 3 .*savae preprocess"
+            ):
                 load_corpus_file(path)
 
-    @pytest.mark.parametrize("version", sorted(WRITERS))
+    def test_version_2_file_is_unsupported(self, tmp_path):
+        # a version-2 file laid out by hand: magic, u32 version, i64 seed,
+        # u32 vocabulary and label counts, the token's u32 length and bytes,
+        # its u64 count; then per split a u32 document count and the u32
+        # lengths, label counts, label indices and token ids
+        path = tmp_path / "corpus.savc"
+        path.write_bytes(
+            b"SAVC" + struct.pack("<IqII", 2, 2, 1, 0) + struct.pack("<I", 2) + b"aa"
+            + struct.pack("<Q", 3) + struct.pack("<4I", 1, 1, 0, 0) + struct.pack("<I", 0)
+        )
+        with pytest.raises(UnsupportedVersion) as info:
+            load_corpus_file(path)
+        assert str(info.value) == (
+            f"corpus file {path} has format version 2; only version 3 is read, "
+            "so rebuild it with savae preprocess"
+        )
+
+    def test_tiny_file_bytes(self, tmp_path):
+        split = CorpusSplit(
+            train=[Document(ids=[0, 1], labels={"x"})],
+            test=[],
+            vocabulary=Vocabulary(tokens=["aa", "bb"], counts=[2, 1]),
+            shuffle_seed=2,
+        )
+        path = tmp_path / "corpus.savc"
+        save_corpus_file(split, path)
+        assert path.read_bytes() == container_bytes(b"SAVC", 3, TINY_HEADER, TINY_SECTIONS)
+        assert load_corpus_file(path) == split
+
+    @pytest.mark.parametrize(
+        "header,sections,match",
+        [
+            (TINY_HEADER, TINY_SECTIONS[:4] + TINY_SECTIONS[3:],
+             "unexpected section 'train.labels' .*; expected 'train.ids'"),
+            (TINY_HEADER, TINY_SECTIONS[:3] + TINY_SECTIONS[4:],
+             "unexpected section 'train.ids' .*; expected 'train.labels'"),
+            (TINY_HEADER, TINY_SECTIONS[:-1], "truncated"),
+            (TINY_HEADER, [("vocab", "<u8", [2, 1])] + TINY_SECTIONS[1:],
+             "unexpected section 'vocab' .*; expected 'counts'"),
+            (TINY_HEADER, TINY_SECTIONS + [("extra", "<u4", [])], "trailing bytes"),
+            ({**TINY_HEADER, "dtypes": {**TINY_HEADER["dtypes"], "counts": "<i8"}},
+             TINY_SECTIONS, "section 'counts' .* has dtype <i8, expected <u8"),
+            ({**TINY_HEADER, "dtypes": {**TINY_HEADER["dtypes"], "train.ids": "<f8"}},
+             _replaced("train.ids", [0.0, 1.0]),
+             "section 'train.ids' .* has dtype <f8, expected <u4"),
+            (TINY_HEADER, _replaced("train.lengths", [3]),
+             r"section 'train.ids' .* has shape \(2,\), expected \(3,\)"),
+            (TINY_HEADER, _replaced("train.label_counts", [2]),
+             r"section 'train.labels' .* has shape \(1,\), expected \(2,\)"),
+            (TINY_HEADER, _replaced("train.label_counts", [1, 0]),
+             r"section 'train.label_counts' .* has shape \(2,\), expected \(1,\)"),
+            (TINY_HEADER, _replaced("counts", [2, 1, 1]),
+             r"section 'counts' .* has shape \(3,\), expected \(2,\)"),
+            (TINY_HEADER, _replaced("train.lengths", [[2]]),
+             r"section 'train.lengths' .* has shape \(1, 1\), expected \(None,\)"),
+            (TINY_HEADER, _replaced("train.labels", [1]), "label index 1 out of range"),
+            ({**TINY_HEADER, "shuffle_seed": 2.0}, TINY_SECTIONS, "header block .* lacks"),
+            ({**TINY_HEADER, "tokens": ["aa", 5]}, TINY_SECTIONS, "header block .* lacks"),
+            ({k: v for k, v in TINY_HEADER.items() if k != "labels"}, TINY_SECTIONS,
+             "header block .* lacks"),
+            ({**TINY_HEADER, "tokens": ["aa", "aa"]}, TINY_SECTIONS,
+             "bad vocabulary .* duplicate tokens"),
+        ],
+        ids=["duplicate", "missing", "missing-last", "unexpected", "unexpected-last",
+             "dtype-not-allowed", "dtype-other", "ids-size", "labels-size", "docs-size",
+             "counts-size", "lengths-rank", "label-index", "seed-float", "token-int",
+             "no-labels", "duplicate-token"],
+    )
+    def test_damaged_container_names_the_file(self, tmp_path, header, sections, match):
+        path = tmp_path / "corpus.savc"
+        path.write_bytes(container_bytes(b"SAVC", 3, header, sections))
+        with pytest.raises(CorruptFile, match=match) as info:
+            load_corpus_file(path)
+        assert f"corpus file {path}" in str(info.value)
+
+    @pytest.mark.parametrize("field", ["header", "first-name"])
+    def test_huge_length_field_allocates_nothing(self, tmp_path, field):
+        path = tmp_path / "corpus.savc"
+        save_corpus_file(self._split(), path)
+        data = bytearray(path.read_bytes())
+        (head,) = struct.unpack("<I", data[8:12])
+        at = 8 if field == "header" else 12 + head
+        data[at : at + 4] = struct.pack("<I", 0xFFFFFFF0)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFile, match="truncated"):
+                load_corpus_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize(
         "tokens,counts,ids,match",
         [
@@ -306,7 +425,7 @@ class TestCorpusFile:
         ],
         ids=["token-id", "zero-count", "duplicate-token"],
     )
-    def test_bad_content_names_the_file(self, tmp_path, version, tokens, counts, ids, match):
+    def test_bad_content_names_the_file(self, tmp_path, tokens, counts, ids, match):
         split = CorpusSplit(
             train=[Document(ids=ids, labels={"x"})],
             test=[],
@@ -314,7 +433,7 @@ class TestCorpusFile:
             shuffle_seed=2,
         )
         path = tmp_path / "corpus.savc"
-        WRITERS[version](split, path)
+        save_corpus_file(split, path)
         with pytest.raises(CorruptFile, match=match) as info:
             load_corpus_file(path)
         assert str(path) in str(info.value)
@@ -329,9 +448,10 @@ class TestCorpusFile:
         path = tmp_path / "corpus.savc"
         save_corpus_file(split, path)
         data = bytearray(path.read_bytes())
-        # the train split ends with its one label index and one token id,
-        # then the test split's document count
-        data[-12:-8] = struct.pack("<I", 1)
+        # the one label index follows the name, u32 rank and u32 length of the
+        # train.labels section (the header's dtypes name it first)
+        at = data.rindex(b"train.labels") + len(b"train.labels") + 8
+        data[at : at + 4] = struct.pack("<I", 1)
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptFile, match="label index 1 out of range"):
             load_corpus_file(path)

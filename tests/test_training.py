@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -182,6 +183,17 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.001, epochs=0)
 
+    def test_rejects_negative_checkpoint_every(self):
+        with pytest.raises(ConfigError, match="checkpoint_every must be >= 0"):
+            TrainConfig(learning_rate=0.001, epochs=1, checkpoint_every=-3)
+
+    def test_checkpoint_every_0_writes_no_checkpoint(self, tmp_path):
+        split = synthetic_two_topic_corpus(n_docs=8, m=6)
+        tcfg = TrainConfig(learning_rate=0.001, epochs=2, checkpoint_every=0,
+                           checkpoint_dir=str(tmp_path / "ckpts"))
+        train(split, tiny_config("nvdm", m=6), tcfg)
+        assert not (tmp_path / "ckpts").exists()
+
     def test_rejects_empty_corpus(self):
         cfg = tiny_config(m=4)
         split = CorpusSplit(
@@ -336,6 +348,33 @@ class TestCheckpointIo:
         assert loaded_cfg == cfg
         for name, arr in params.named_arrays().items():
             np.testing.assert_array_equal(arr, loaded.named_arrays()[name])
+
+    def test_golden_bytes(self, tmp_path):
+        cfg = tiny_config("nvdm", m=2, d=1, layers=(1,))
+        params = random_model(cfg, seed=3)
+        path = tmp_path / "model.savm"
+        save_checkpoint(params, cfg, path)
+        # laid out by hand: magic, u32 version 1, the config as a u32-length
+        # JSON block, then per parameter its u32-length name, u32 rank, u32
+        # dimensions and little-endian float64 values
+        block = b'{"mode": "nvdm", "m": 2, "d": 1, "k": 2, "encoder_layers": [1]}'
+        want = b"SAVM" + struct.pack("<II", 1, len(block)) + block
+        names = ["X", "b", "enc_W_0", "enc_b_0", "W_mu", "b_mu", "W_logvar", "b_logvar"]
+        for name, arr in zip(names, params.named_arrays().values(), strict=True):
+            want += struct.pack("<I", len(name)) + name.encode("ascii")
+            want += struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+            want += struct.pack(f"<{arr.size}d", *arr.ravel().tolist())
+        assert path.read_bytes() == want
+
+    def test_every_proper_prefix_is_corrupt(self, tmp_path):
+        cfg = tiny_config("savae", m=5, d=2, k=2, layers=(3,))
+        path = tmp_path / "model.savm"
+        save_checkpoint(random_model(cfg), cfg, path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(CorruptCheckpoint, match=re.escape(f"checkpoint {path}")):
+                load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         cfg = tiny_config()

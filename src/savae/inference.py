@@ -1,9 +1,10 @@
 """Document representations and evaluation-time bounds from a frozen model.
 
 A document's representation is the posterior mean mu, from one encoder pass
-over blocks of 64 documents; the evaluation bound uses multi-sample ELBO
-estimates. Representations round-trip through a CSV contract consumed by
-the evaluation tooling.
+over blocks of 64 documents, widened to 256 where a block takes the dense
+first layer; the evaluation bound uses multi-sample ELBO estimates.
+Representations round-trip through a CSV contract consumed by the
+evaluation tooling.
 """
 
 import csv
@@ -56,8 +57,8 @@ def evaluate_bound(docs, params, config, samples=20, seed=0):
     if not kept:
         raise AllDocumentsEmpty("no non-empty documents to evaluate")
     rng = RngStream(seed)
-    eps_list = [rng.substream(i).normal((samples, config.d)) for i in kept]
-    estimates = elbo_estimates([docs[i] for i in kept], params, config, eps_list)
+    eps = np.stack([rng.substream(i).normal((samples, config.d)) for i in kept])
+    estimates = elbo_estimates([docs[i] for i in kept], params, config, eps)
     totals = np.array([est.total for est in estimates])
     words = sum(docs[i].length for i in kept)
     return float(totals.mean()), perplexity(-totals.sum() / words)

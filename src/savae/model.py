@@ -14,15 +14,15 @@ Every decoder logit splits into a z part, shared by all positions of a
 document, and a position part from the local context (absent in nvdm
 mode). Training and evaluation both use the split:
 
-- Evaluation scores each document under S posterior samples, on the
-  packed layout that training uses: concatenated ids plus lengths, with
-  one local-context pass over all documents. Consecutive documents are
-  grouped into blocks of at most ``_ROW_BLOCK`` positions and z rows, and
-  each block takes its z parts and position parts from one GEMM each. In
-  savae mode a document's S x l softmax normalisers come from one GEMM of
-  exponentials rather than from an (S, l, m) logit tensor; pairs whose
-  factored sum underflows are recomputed directly (see
-  ``_packed_log_likelihoods``).
+- Evaluation scores each document under S posterior samples, an (N, S, d)
+  draw, on the packed layout that training uses: concatenated ids plus
+  lengths, with one local-context pass over all documents. Consecutive
+  documents are grouped into blocks of at most ``_ROW_BLOCK`` positions
+  and ``_ROW_BLOCK // S`` documents, and each block takes its z parts and
+  position parts from one GEMM each. In savae mode a document's S x l
+  softmax normalisers come from one GEMM of exponentials rather than from
+  an (S, l, m) logit tensor; pairs whose factored sum underflows are
+  recomputed directly (see ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
@@ -367,9 +367,9 @@ def _local_contexts(ids, lengths, params, config):
 
 
 def _logsumexp_rows(logits):
-    """Stable log-sum-exp of each row of a 2-D array."""
-    shift = logits.max(axis=1, keepdims=True)
-    return np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+    """Stable log-sum-exp along the last axis."""
+    shift = logits.max(axis=-1, keepdims=True)
+    return np.log(np.exp(logits - shift).sum(axis=-1)) + shift[..., 0]
 
 
 def _bag_of_words_log_likelihoods(logits, counts, length):
@@ -384,27 +384,27 @@ def _bag_of_words_log_likelihoods(logits, counts, length):
 
 def _doc_blocks(lengths, samples):
     """(first, stop) ranges of consecutive documents, each with at most
-    ``_ROW_BLOCK`` positions and ``_ROW_BLOCK`` z rows; a document over
-    either limit is a block of its own."""
+    ``_ROW_BLOCK`` positions and ``_ROW_BLOCK`` z rows (``samples`` per
+    document); a document over either limit is a block of its own."""
     blocks = []
     first = positions = rows = 0
-    for i, (length, s) in enumerate(zip(lengths, samples)):
-        if i > first and (positions + length > _ROW_BLOCK or rows + s > _ROW_BLOCK):
+    for i, length in enumerate(lengths):
+        if i > first and (positions + length > _ROW_BLOCK or rows + samples > _ROW_BLOCK):
             blocks.append((first, i))
             first, positions, rows = i, 0, 0
         positions += length
-        rows += s
+        rows += samples
     blocks.append((first, len(lengths)))
     return blocks
 
 
-def _packed_log_likelihoods(ids, lengths, Z, samples, params, config):
-    """log p(doc | z) for every row of Z, over concatenated documents.
+def _packed_log_likelihoods(ids, lengths, Z, params, config):
+    """log p(doc | z), shape (N, S), for the S rows of ``Z[i]`` (shape
+    (N, S, d)) of each of N concatenated documents.
 
-    ``ids`` holds documents of ``lengths`` tokens back to back, and document
-    i owns the next ``samples[i]`` rows of Z. Documents are scored in the
-    blocks of ``_doc_blocks``, and a row's last bits can change with the
-    other documents of its block.
+    ``ids`` holds documents of ``lengths`` tokens back to back. Documents
+    are scored in the blocks of ``_doc_blocks``, and a row's last bits can
+    change with the other documents of its block.
 
     In savae mode every logit splits into a sample part and a position
     part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
@@ -427,87 +427,72 @@ def _packed_log_likelihoods(ids, lengths, Z, samples, params, config):
     """
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
-    samples = np.asarray(samples, dtype=np.intp)
     m, d = config.m, config.d
+    S = Z.shape[1]
     t_start = np.cumsum(lengths) - lengths
-    z_start = np.cumsum(samples) - samples
-    blocks = _doc_blocks(lengths, samples)
-    rows_max = max(samples[a:b].sum() for a, b in blocks)
+    blocks = _doc_blocks(lengths, S)
     # the GEMMs run faster on a contiguous copy of X^T
     X_T = np.ascontiguousarray(params.X.T)
     X_z_T = X_T[:d]
-    z_part_buf = np.empty((rows_max, m))
-    out = np.empty(len(Z))
+    z_part_buf = np.empty((max(b - a for a, b in blocks) * S, m))
+    out = np.empty(Z.shape[:2])
     if config.mode == SAVAE:
         H, _ = _local_contexts(ids, lengths, params, config)
         X_local_T = X_T[d:]
         pos_part_buf = np.empty((max(lengths[a:b].sum() for a, b in blocks), m))
     f64 = np.finfo(np.float64)
     for a, b in blocks:
-        r0, r1 = z_start[a], z_start[b - 1] + samples[b - 1]
+        nb = b - a
         t0, t1 = t_start[a], t_start[b - 1] + lengths[b - 1]
-        z_part = np.matmul(Z[r0:r1], X_z_T, out=z_part_buf[: r1 - r0])
+        z_part = np.matmul(Z[a:b].reshape(nb * S, d), X_z_T, out=z_part_buf[: nb * S])
         z_part += params.b  # rows * m adds here, positions * m on pos_part
         targets = ids[t0:t1]
         if config.mode == NVDM:
             counts = _packed_counts(targets, lengths[a:b], m)
-            out[r0:r1] = _bag_of_words_log_likelihoods(
-                z_part,
-                np.repeat(counts, samples[a:b], axis=0),
-                np.repeat(lengths[a:b], samples[a:b]),
+            out[a:b] = _bag_of_words_log_likelihoods(
+                z_part.reshape(nb, S, m), counts[:, None], lengths[a:b, None]
             )[0]
             continue
         pos_part = np.matmul(H[t0:t1], X_local_T, out=pos_part_buf[: t1 - t0])
-        # pair (s, t) of each document at row-major offsets within the block:
-        # z row s of the block owns the next ``row_len[s]`` pairs from row_first[s]
-        row_len = np.repeat(lengths[a:b], samples[a:b])
-        row_first = np.cumsum(row_len) - row_len
-        pair_z = np.repeat(np.arange(r1 - r0), row_len)
-        pair_t = np.arange(len(pair_z)) + np.repeat(
-            np.repeat(t_start[a:b] - t0, samples[a:b]) - row_first, row_len
-        )
-        # the picked logits, gathered before both parts become their exps
-        picked = np.take(z_part, pair_z * m + targets[pair_t])
-        picked += pos_part[np.arange(t1 - t0), targets][pair_t]
+        starts = t_start[a:b] - t0
+        doc = np.repeat(np.arange(nb), lengths[a:b])  # the block's document of each position
+        # the (S, positions) picked logits, gathered before both parts become their exps
+        picked = z_part.reshape(nb, S, m)[doc, :, targets].T
+        picked += pos_part[np.arange(t1 - t0), targets]
         zmax = z_part.max(axis=1)
         pmax = pos_part.max(axis=1)
         np.exp(np.subtract(z_part, zmax[:, None], out=z_part), out=z_part)
         np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
-        sums = np.empty(len(pair_z))
-        for i in range(a, b):
-            zs = z_start[i] - r0
-            ts = t_start[i] - t0
-            pairs = sums[row_first[zs] : row_first[zs] + samples[i] * lengths[i]]
-            np.matmul(
-                z_part[zs : zs + samples[i]],
-                pos_part[ts : ts + lengths[i]].T,
-                out=pairs.reshape(samples[i], lengths[i]),
-            )
-        shift = zmax[pair_z] + pmax[pair_t]
+        sums = np.empty((S, t1 - t0))
+        for j, (ts, te) in enumerate(zip(starts, starts + lengths[a:b])):
+            np.matmul(z_part[j * S : (j + 1) * S], pos_part[ts:te].T, out=sums[:, ts:te])
+        shift = zmax.reshape(nb, S)[doc].T + pmax
         # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
         # underflow, even where subnormals are flushed to zero, so a sum of
         # at least m * tiny / eps has lost at most one ulp. Smaller sums mean
         # a term far below the pair's true maximum carried the shifts; redo
         # them.
-        low = np.flatnonzero(sums < m * f64.tiny / f64.eps)
-        if len(low):
-            sums[low] = 1.0
-            z_rows = Z[r0 + pair_z[low]] @ X_z_T + params.b
-            shift[low] = _logsumexp_rows(z_rows + H[t0 + pair_t[low]] @ X_local_T)
+        low_s, low_t = np.nonzero(sums < m * f64.tiny / f64.eps)
+        if len(low_s):
+            sums[low_s, low_t] = 1.0
+            z_rows = Z[a + doc[low_t], low_s] @ X_z_T + params.b
+            shift[low_s, low_t] = _logsumexp_rows(z_rows + H[t0 + low_t] @ X_local_T)
         picked -= np.log(sums) + shift
-        out[r0:r1] = np.add.reduceat(picked, row_first)
+        out[a:b] = np.add.reduceat(picked, starts, axis=1).T
     return out
 
 
-def elbo_estimates(docs, params, config, eps_list):
-    """Monte-Carlo ELBO of each document; ``eps_list[i]`` holds document i's
-    (S_i, d) standard-normal draws. The documents are packed once; the
-    posteriors come from one ``_encode_packed`` and the likelihoods from one
-    ``_packed_log_likelihoods``.
-    Raises ``NonFiniteGradient`` naming the encoder log-variance, in context
+def elbo_estimates(docs, params, config, eps):
+    """Monte-Carlo ELBO of each document; ``eps`` holds the (N, S, d)
+    standard-normal draws of N documents, S >= 1 for each. The documents
+    are packed once; the posteriors come from one ``_encode_packed`` and
+    the likelihoods from one ``_packed_log_likelihoods``.
+    Raises ValueError when ``eps`` has another shape, and
+    ``NonFiniteGradient`` naming the encoder log-variance, in context
     "evaluation", when an entry would overflow ``exp``."""
-    if len(eps_list) != len(docs):
-        raise ValueError(f"{len(docs)} documents but {len(eps_list)} eps arrays")
+    eps = np.asarray(eps)
+    if eps.ndim != 3 or eps.shape[0] != len(docs) or eps.shape[1] < 1 or eps.shape[2] != config.d:
+        raise ValueError(f"eps must have shape ({len(docs)}, S >= 1, {config.d}), got {eps.shape}")
     if not docs:
         return []
     if any(doc.length == 0 for doc in docs):
@@ -516,22 +501,16 @@ def elbo_estimates(docs, params, config, eps_list):
     mu, log_var = _encode_packed(ids, lengths, params, config)
     sd = _posterior_sd(log_var, context="evaluation")
     kl = kl_standard_normal(mu, log_var)
-    samples = [len(eps) for eps in eps_list]
-    owner = np.repeat(np.arange(len(docs)), samples)
-    Z = mu[owner] + sd[owner] * np.concatenate(eps_list)
-    ll = _packed_log_likelihoods(ids, lengths, Z, samples, params, config)
-    first = np.cumsum(samples) - samples
-    return [
-        ElboEstimate(float(ll[f : f + s].mean()), float(kl_i))
-        for f, s, kl_i in zip(first, samples, kl)
-    ]
+    Z = mu[:, None] + sd[:, None] * eps
+    ll = _packed_log_likelihoods(ids, lengths, Z, params, config)
+    return [ElboEstimate(float(r), float(kl_i)) for r, kl_i in zip(ll.mean(axis=1), kl)]
 
 
 def elbo(doc, params, config, rng, samples=1):
     """Monte-Carlo ELBO with ``samples`` reparameterized posterior draws."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return elbo_estimates([doc], params, config, [rng.normal((samples, config.d))])[0]
+    return elbo_estimates([doc], params, config, rng.normal((1, samples, config.d)))[0]
 
 
 def _local_softmax_blocks(zl, H, X_local, targets, lengths):

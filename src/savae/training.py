@@ -259,7 +259,7 @@ def load_checkpoint(path):
         try:
             config = ModelConfig.from_dict(r.header)
         except (ValueError, KeyError, TypeError, ConfigError) as err:
-            raise CorruptCheckpoint(f"bad config block: {err}") from err
+            raise CorruptCheckpoint(f"bad config block in checkpoint {path}: {err}") from err
         named = {n: r.section(n, "<f8", shape) for n, shape in expected_shapes(config).items()}
         r.finish()
     return ModelParams.from_named(named), config

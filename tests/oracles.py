@@ -155,7 +155,7 @@ def mc_kl_standard_normal(mu, log_var, n_samples, rng):
 
 def doc_log_likelihoods(ids, Z, params, config):
     """log p(doc | z) for each row z of Z, from ``model._packed_log_likelihoods``."""
-    return model._packed_log_likelihoods(ids, [len(ids)], Z, [len(Z)], params, config)
+    return model._packed_log_likelihoods(ids, [len(ids)], Z[None], params, config)[0]
 
 
 def naive_doc_log_likelihoods(ids, Z, params, config):

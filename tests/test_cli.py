@@ -430,19 +430,20 @@ def _config_block(old, new):
 # that follows the category
 BAD_CONFIG_BLOCKS = [
     ("m-string", b'"m": 20', b'"m": "x"',
-     "bad config block: m, d, k and encoder_layers must be integers"),
-    ("layers-int", b"[500, 500]", b"5", "bad config block: "),
+     "bad config block in checkpoint bad.savm: m, d, k and encoder_layers must be integers"),
+    ("layers-int", b"[500, 500]", b"5", "bad config block in checkpoint bad.savm: "),
     ("d-null", b'"d": 2', b'"d": null',
-     "bad config block: m, d, k and encoder_layers must be integers"),
+     "bad config block in checkpoint bad.savm: m, d, k and encoder_layers must be integers"),
     ("json-list", None, b'["nvdm", 20, 2, 5, [500, 500]]',
      "header block in checkpoint bad.savm is not a JSON object, or its dtypes are not one\n"),
-    ("m-zero", b'"m": 20', b'"m": 0', "bad config block: m must be >= 1"),
+    ("m-zero", b'"m": 20', b'"m": 0', "bad config block in checkpoint bad.savm: m must be >= 1"),
     ("layer-zero", b"[500, 500]", b"[0]",
-     "bad config block: encoder_layers must all be >= 1, got [0]"),
+     "bad config block in checkpoint bad.savm: encoder_layers must all be >= 1, got [0]"),
     ("mode-lda", b'"nvdm"', b'"lda"',
-     "bad config block: mode must be 'savae' or 'nvdm', got 'lda'"),
+     "bad config block in checkpoint bad.savm: mode must be 'savae' or 'nvdm', got 'lda'"),
     ("d-fraction", b'"d": 2', b'"d": 2.5',
-     "bad config block: m, d, k and encoder_layers must be integers, got [20, 2.5, 5, 500, 500]"),
+     "bad config block in checkpoint bad.savm: m, d, k and encoder_layers must be integers, "
+     "got [20, 2.5, 5, 500, 500]"),
 ]
 
 

@@ -162,7 +162,7 @@ class TestEvaluateBound:
         cfg = tiny_config()
         docs = [Document(ids=[0, 3]), Document(ids=[]), Document(ids=[2, 5, 1])]
 
-        def huge_loss(docs, params, config, eps_list):
+        def huge_loss(docs, params, config, eps):
             return [ElboEstimate(-800.0 * doc.length, 0.0) for doc in docs]
 
         monkeypatch.setattr(inference, "elbo_estimates", huge_loss)

@@ -445,7 +445,7 @@ class TestFactoredLikelihood:
         params.X[:, 1] = [-gap, gap]
         docs = [[1, 0, 0], [0, 1, 1, 0, 1], [1, 1]]
         Z = np.array([[0.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
-        assert model._doc_blocks([3, 5, 2], [2, 2, 2]) == [(0, 3)]
+        assert model._doc_blocks([3, 5, 2], 2) == [(0, 3)]
         direct = model._logsumexp_rows
         direct_rows = []
 
@@ -455,8 +455,8 @@ class TestFactoredLikelihood:
 
         monkeypatch.setattr(model, "_logsumexp_rows", spy)
         ours = model._packed_log_likelihoods(
-            np.concatenate(docs), [3, 5, 2], Z, [2, 2, 2], params, config
-        )
+            np.concatenate(docs), [3, 5, 2], Z.reshape(3, 2, 1), params, config
+        ).ravel()
         assert direct_rows == [len(docs[1])]  # the second document's sample 0 only
         theirs = np.concatenate(
             [naive_doc_log_likelihoods(ids, Z[2 * i : 2 * i + 2], params, config)
@@ -472,7 +472,8 @@ def document_lists(draw):
     documents plus an empty one, a single token and one longer than
     ``_ROW_BLOCK``, in a drawn order. Lengths up to k + 3 give documents
     shorter and longer than k; 90 samples fill a block's z rows with two or
-    three documents."""
+    three documents, and 257 give a block of one document more z rows than
+    ``_ROW_BLOCK``."""
     mode = draw(st.sampled_from(["savae", "nvdm"]))
     m = draw(st.integers(1, 9))
     k = draw(st.integers(1, 6))
@@ -488,7 +489,7 @@ def document_lists(draw):
     # log-variance can pass log(float max), which elbo_estimates rejects
     # (TestElbo); keep the encoder input at short-document scale
     params.enc_W[0] /= len(long)
-    samples = draw(st.sampled_from([1, 3, 20, 90]))
+    samples = draw(st.sampled_from([1, 3, 20, 90, 257]))
     return config, params, [Document(ids=ids) for ids in docs], samples, seed
 
 
@@ -498,9 +499,9 @@ class TestBlockComposition:
     def test_results_do_not_depend_on_the_other_documents(self, case):
         config, params, docs, samples, seed = case
         kept = [i for i, doc in enumerate(docs) if not doc.is_empty]
-        eps = [RngStream(seed).substream(i).normal((samples, config.d)) for i in kept]
+        eps = np.stack([RngStream(seed).substream(i).normal((samples, config.d)) for i in kept])
         together = elbo_estimates([docs[i] for i in kept], params, config, eps)
-        alone = [elbo_estimates([docs[i]], params, config, [e])[0] for i, e in zip(kept, eps)]
+        alone = [elbo_estimates([docs[i]], params, config, e[None])[0] for i, e in zip(kept, eps)]
         np.testing.assert_allclose(
             [e.reconstruction for e in together], [e.reconstruction for e in alone], rtol=1e-12
         )
@@ -563,6 +564,36 @@ class TestElbo:
         est = elbo(doc, params, cfg, RngStream(2), samples=20)
         ll = prior_sampling_log_likelihoods(doc.ids, params, cfg, 10**4, np_rng)
         assert est.total <= ll + 0.05
+
+    @pytest.mark.parametrize("mode", ["savae", "nvdm"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 0, 2), (2, 3, 3), (2, 3, 1), (1, 3, 2), (3, 3, 2), (2, 2)],
+        ids=["S-0", "d-3", "d-1", "N-1", "N-3", "rank-2"],
+    )
+    def test_eps_of_another_shape_is_rejected(self, mode, shape):
+        cfg = tiny_config(mode)
+        docs = [Document(ids=[0, 1, 2]), Document(ids=[3])]
+        with pytest.raises(ValueError, match=r"eps must have shape \(2, S >= 1, 2\)"):
+            elbo_estimates(docs, random_model(cfg), cfg, np.zeros(shape))
+
+    def test_nvdm_bound_block_repeats_no_counts(self):
+        # one block of 12 documents of 20 tokens and S = 20, so 240 z rows:
+        # z parts, their shifted copy and its exps take 3.84 MB each, and a
+        # per-row copy of the (12, m) counts would be a fourth
+        config = ModelConfig(mode="nvdm", m=2000, d=10, encoder_layers=(8,))
+        params = random_model(config)
+        rng = np.random.default_rng(0)
+        docs = [Document(ids=rng.integers(0, config.m, 20).tolist()) for _ in range(12)]
+        eps = RngStream(0).normal((12, 20, config.d))
+        assert model._doc_blocks([20] * 12, 20) == [(0, 12)]
+        tracemalloc.start()
+        try:
+            elbo_estimates(docs, params, config, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
 
 
 def _gradient_case(mode, m, k, batch, d=2, seed=0):

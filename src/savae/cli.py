@@ -21,18 +21,19 @@ from .fileio import atomic_write, utf8_lines
 from .model import ModelConfig
 from .numerics import RngStream
 
-# defaults mirror the 20 Newsgroups configuration
+# defaults mirror the 20 Newsgroups configuration; those the library
+# configs also default are read from them
 DEFAULTS = {
     "model.mode": "savae",
     "model.d": 50,
-    "model.k": 5,
-    "model.encoder_layers": "500,500",
+    "model.k": ModelConfig.k,
+    "model.encoder_layers": ",".join(map(str, ModelConfig.encoder_layers)),
     "model.eval_samples": 20,
     "corpus.vocab_size": 2000,
     "train.lr": 1e-5,
     "train.epochs": 1000,
-    "train.batch_size": 64,
-    "train.checkpoint_every": 100,
+    "train.batch_size": training.TrainConfig.batch_size,
+    "train.checkpoint_every": training.TrainConfig.checkpoint_every,
     "seed": 2,
 }
 
@@ -217,9 +218,18 @@ def cmd_eval_bound(args, cfg, out):
             "output": str(path), "empty_skipped": len(docs) - len(kept)}
 
 
+def _read_finite_representations(path):
+    """A representation CSV whose vectors are all finite; row i is line i + 2."""
+    ids, labels, reps = inference.read_representations(path)
+    bad = np.flatnonzero(~np.isfinite(reps).all(axis=1))
+    if len(bad):
+        raise ParseError(f"non-finite vector in {path}", int(bad[0]) + 2)
+    return ids, labels, reps
+
+
 def _read_matching_representations(first, second):
     """Both representation CSVs; their vectors must have the same width."""
-    a, b = inference.read_representations(first), inference.read_representations(second)
+    a, b = _read_finite_representations(first), _read_finite_representations(second)
     if a[2].shape[1] != b[2].shape[1]:
         raise ParseError(
             f"{second} has {b[2].shape[1]} vector columns, {first} has {a[2].shape[1]}", 1
@@ -239,8 +249,8 @@ def cmd_eval_retrieval(args, cfg, out):
 
 
 def cmd_eval_cluster(args, cfg, out):
-    _, labels, reps = inference.read_representations(args.reps)
-    flat = [min(ls) if ls else "" for ls in labels]
+    _, labels, reps = _read_finite_representations(args.reps)
+    flat = _first_labels(labels, args.reps)
     metrics = evaluation.ClusterMetrics(
         davies_bouldin=evaluation.davies_bouldin(reps, flat),
         dunn=evaluation.dunn(reps, flat),

@@ -201,52 +201,44 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
     return PrCurve(DEFAULT_RECALL_GRID, acc / used, used, skipped=len(query_reps) - used)
 
 
-def _clusters(reps, labels):
+def _cluster_geometry(reps, labels):
+    """Each point's cluster index, the (n, C) point-centroid cosine distances,
+    each cluster's dispersion (the mean distance of its members to its
+    centroid) and the (C, C) centroid distances; clusters are in
+    ``sorted(set(labels), key=str)`` order, centroids the means of rows."""
     reps = np.asarray(reps, dtype=np.float64)
     if len(reps) != len(labels):
         raise ValueError("representation/label count mismatch")
     order = sorted(set(labels), key=str)
-    members = {lab: np.flatnonzero([l == lab for l in labels]) for lab in order}
     if len(order) < 2:
         raise DegenerateClusters("need at least 2 clusters")
-    centroids = np.stack([reps[members[lab]].mean(axis=0) for lab in order])
-    return reps, order, members, centroids
-
-
-def _dispersions(reps, order, members, centroids):
-    """Mean cosine distance of each cluster's members to its centroid."""
-    return np.array(
-        [
-            cosine_distances(reps[members[lab]], centroids[i : i + 1]).mean()
-            for i, lab in enumerate(order)
-        ]
-    )
+    index = {lab: i for i, lab in enumerate(order)}
+    cluster = np.array([index[lab] for lab in labels], dtype=np.intp)
+    sizes = np.bincount(cluster)
+    members = np.split(np.argsort(cluster, kind="stable"), np.cumsum(sizes)[:-1])
+    centroids = np.stack([reps[rows].mean(axis=0) for rows in members])
+    d = cosine_distances(reps, centroids)
+    dispersions = np.bincount(cluster, d[np.arange(len(d)), cluster]) / sizes
+    return cluster, d, dispersions, cosine_distances(centroids, centroids)
 
 
 def davies_bouldin(reps, labels):
     """(mean, std over clusters) of the Davies-Bouldin per-cluster scores."""
-    reps, order, members, centroids = _clusters(reps, labels)
-    pi = _dispersions(reps, order, members, centroids)
-    cd = cosine_distances(centroids, centroids)
-    n = len(order)
-    off = ~np.eye(n, dtype=bool)
+    _, _, pi, cd = _cluster_geometry(reps, labels)
+    off = ~np.eye(len(pi), dtype=bool)
     if np.any(cd[off] == 0.0):
         raise DegenerateCentroids("coincident cluster centroids")
-    scores = np.array(
-        [max((pi[i] + pi[j]) / cd[i, j] for j in range(n) if j != i) for i in range(n)]
-    )
+    ratios = np.divide(pi[:, None] + pi, cd, out=np.full_like(cd, -np.inf), where=off)
+    scores = ratios.max(axis=1)
     return float(scores.mean()), float(scores.std())
 
 
 def dunn(reps, labels):
     """Smallest centroid separation over largest cluster dispersion."""
-    reps, order, members, centroids = _clusters(reps, labels)
-    pi = _dispersions(reps, order, members, centroids)
+    _, _, pi, cd = _cluster_geometry(reps, labels)
     if pi.max() == 0.0:
         raise DegenerateClusters("all clusters have zero dispersion")
-    cd = cosine_distances(centroids, centroids)
-    n = len(order)
-    min_sep = min(cd[i, j] for i in range(n) for j in range(i + 1, n))
+    min_sep = cd[np.triu_indices_from(cd, k=1)].min()
     return float(min_sep / pi.max())
 
 
@@ -257,24 +249,20 @@ def silhouette(reps, labels):
     centroid) / max of the two; points coinciding with both centroids
     score 0. Per-cluster scores are the means over members.
     """
-    reps, order, members, centroids = _clusters(reps, labels)
-    d = cosine_distances(reps, centroids)  # (n_points, n_clusters)
-    cluster_scores = []
-    for i, lab in enumerate(order):
-        idx = members[lab]
-        a = d[idx, i]
-        others = np.delete(d[idx], i, axis=1)
-        bmin = others.min(axis=1)
-        denom = np.maximum(a, bmin)
-        s = np.where(denom > 0, (bmin - a) / np.where(denom > 0, denom, 1.0), 0.0)
-        cluster_scores.append(s.mean())
-    cluster_scores = np.asarray(cluster_scores)
+    cluster, d, _, _ = _cluster_geometry(reps, labels)
+    own = (np.arange(len(d)), cluster)
+    a = d[own]
+    d[own] = np.inf
+    bmin = d.min(axis=1)
+    denom = np.maximum(a, bmin)
+    s = np.where(denom > 0, (bmin - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    cluster_scores = np.bincount(cluster, s) / np.bincount(cluster)
     return float(cluster_scores.mean()), float(cluster_scores.std())
 
 
 def embedding_spaces(params, config):
     """Word-embedding matrices available for neighbor inspection."""
-    spaces = {"global": params.X}
+    spaces = {"global": params.X[:, : config.d]}
     if config.mode == "savae":
         spaces["local"] = params.V_local
     return spaces

@@ -369,7 +369,8 @@ def _local_contexts(ids, lengths, params, config):
 def _logsumexp_rows(logits):
     """Stable log-sum-exp along the last axis."""
     shift = logits.max(axis=-1, keepdims=True)
-    return np.log(np.exp(logits - shift).sum(axis=-1)) + shift[..., 0]
+    e = logits - shift
+    return np.log(np.exp(e, out=e).sum(axis=-1)) + shift[..., 0]
 
 
 def _bag_of_words_log_likelihoods(logits, counts, length):

@@ -689,6 +689,31 @@ class TestCategorizedErrors:
                 id="retrieval-header-only-csv",
             ),
             pytest.param(
+                {"reps.csv": b"id,labels,v0,v1\n0,a,1.0,0.0\n1,b,0.0,1.0\n2,b,nan,1.0\n"},
+                ["eval-cluster", "--reps", "reps.csv"],
+                "error: ParseError: line 4: non-finite vector in reps.csv\n",
+                id="cluster-nan-vector",
+            ),
+            pytest.param(
+                {"q.csv": b"id,labels,v0\n0,a,1.0\n", "i.csv": b"id,labels,v0\n0,a,1.0\n1,a,inf\n"},
+                ["eval-retrieval", "--queries", "q.csv", "--index", "i.csv"],
+                "error: ParseError: line 3: non-finite vector in i.csv\n",
+                id="retrieval-inf-vector",
+            ),
+            pytest.param(
+                {"tr.csv": b"id,labels,v0\n0,a,-inf\n1,b,1.0\n",
+                 "te.csv": b"id,labels,v0\n0,a,1.0\n"},
+                ["probe", "--train", "tr.csv", "--test", "te.csv"],
+                "error: ParseError: line 2: non-finite vector in tr.csv\n",
+                id="probe-minus-inf-vector",
+            ),
+            pytest.param(
+                {"reps.csv": b"id,labels,v0\n0,a,1.0\n1,,0.5\n2,b,0.0\n"},
+                ["eval-cluster", "--reps", "reps.csv"],
+                "error: DegenerateLabels: reps.csv: line 3 has an empty label field\n",
+                id="cluster-row-without-label",
+            ),
+            pytest.param(
                 {"bad.cfg": b"# settings\nmodel.d=\xff\n", "in.txt": b"a\thello world\n"},
                 ["--config", "bad.cfg", "preprocess", "--input", "in.txt",
                  "--format", "labeled-lines"],

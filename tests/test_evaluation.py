@@ -314,6 +314,15 @@ class TestNearestWords:
         assert set(embedding_spaces(random_model(cfg_s), cfg_s)) == {"global", "local"}
         assert set(embedding_spaces(random_model(cfg_n), cfg_n)) == {"global"}
 
+    def test_global_space_is_the_z_half(self):
+        # by the z half bb is nearest to aa; by the local half, dd
+        cfg = tiny_config("savae", m=4, d=2)
+        params = random_model(cfg)
+        params.X[...] = [[1.0, 0.0, 5.0, 0.0], [1.0, 0.1, -5.0, 0.0],
+                         [-1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 5.0, 0.0]]
+        spaces = embedding_spaces(params, cfg)
+        assert nearest_words("aa", self._vocab(), spaces["global"], n=3) == ["bb", "dd", "cc"]
+
 
 class TestLinearProbe:
     def _blobs(self, rng, n=200, sep=6.0):

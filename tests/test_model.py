@@ -595,6 +595,18 @@ class TestElbo:
             tracemalloc.stop()
         assert peak < 13e6
 
+    def test_logsumexp_exponentiates_in_place(self):
+        # the z parts of that block: the shifted copy takes 3.84 MB, and an
+        # array of its exps besides it would take the peak past 7.6 MB
+        logits = np.random.default_rng(0).normal(size=(12, 20, 2000))
+        tracemalloc.start()
+        try:
+            model._logsumexp_rows(logits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
 
 def _gradient_case(mode, m, k, batch, d=2, seed=0):
     config = ModelConfig(mode=mode, m=m, d=d, k=k, encoder_layers=(4, 3))

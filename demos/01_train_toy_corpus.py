@@ -56,7 +56,6 @@ train_config = training.TrainConfig(
     epochs=30,
     batch_size=5,
     seed=2,
-    checkpoint_every=0,
 )
 
 params, log = training.train(split, model_config, train_config)

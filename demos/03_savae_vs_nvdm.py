@@ -40,7 +40,7 @@ for mode, lr in (("savae", 0.005), ("nvdm", 0.01)):
         mode=mode, m=len(split.vocabulary), d=4, k=3, encoder_layers=(16,)
     )
     train_config = training.TrainConfig(
-        learning_rate=lr, epochs=40, batch_size=6, seed=2, checkpoint_every=0,
+        learning_rate=lr, epochs=40, batch_size=6, seed=2,
     )
     params, log = training.train(split, model_config, train_config)
 

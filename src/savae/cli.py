@@ -33,7 +33,7 @@ DEFAULTS = {
     "train.lr": 1e-5,
     "train.epochs": 1000,
     "train.batch_size": training.TrainConfig.batch_size,
-    "train.checkpoint_every": training.TrainConfig.checkpoint_every,
+    "train.checkpoint_every": 100,
     "seed": 2,
 }
 
@@ -43,15 +43,14 @@ def read_config_file(path):
     if not Path(path).is_file():
         raise IoError(f"no such config file: {path}")
     values = {}
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", lineno)
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(utf8_lines(Path(path).read_bytes(), path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", lineno)
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -93,14 +92,12 @@ class RunConfig:
             encoder_layers=layers,
         )
 
-    def train_config(self, out_dir):
+    def train_config(self):
         return training.TrainConfig(
             learning_rate=self.get("train.lr", float),
             epochs=self.get("train.epochs", int),
             batch_size=self.get("train.batch_size", int),
             seed=self.get("seed", int),
-            checkpoint_every=self.get("train.checkpoint_every", int),
-            checkpoint_dir=str(Path(out_dir) / "checkpoints"),
         )
 
 
@@ -158,17 +155,28 @@ def cmd_train(args, cfg, out):
     split = corpus_mod.load_corpus_file(args.corpus)
     problems = []
     model_config = train_config = None
+    every = 0
     try:
         model_config = cfg.model_config(len(split.vocabulary))
     except ConfigError as err:
         problems += err.violations
     try:
-        train_config = cfg.train_config(out)
+        every = cfg.get("train.checkpoint_every", int)
+        train_config = cfg.train_config()
     except ConfigError as err:
         problems += err.violations
+    if every < 0:
+        problems.append("checkpoint_every must be >= 0")
     if problems:
         raise ConfigError(problems)
-    params, log = training.train(split, model_config, train_config)
+
+    def save_periodic(record, params):
+        if every and record.epoch % every == 0:
+            (out / "checkpoints").mkdir(exist_ok=True)
+            path = out / "checkpoints" / f"epoch_{record.epoch:05d}.savm"
+            training.save_checkpoint(params, model_config, path)
+
+    params, log = training.train(split, model_config, train_config, save_periodic)
     ckpt = out / "model.savm"
     training.save_checkpoint(params, model_config, ckpt)
     _write_text(out / "trainlog.csv", log.to_csv())
@@ -409,6 +417,10 @@ def main(argv=None):
         _write_manifest(out, cfg, {"command": args.command, **record})
     except SavaeError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        # a failed read or write; name the user's path, never a temporary file
+        print(f"error: IoError: {err.strerror}: {err.filename2 or err.filename}", file=sys.stderr)
         return 1
     return 0
 

@@ -300,7 +300,7 @@ def linear_probe(train_reps, train_labels, test_reps, test_labels, seed=0):
     y = np.asarray(train_labels, dtype=np.float64)
     Xt = np.asarray(test_reps, dtype=np.float64)
     yt = np.asarray(test_labels, dtype=np.float64)
-    classes = set(np.unique(y))
+    classes = set(np.unique(y).tolist())
     if not classes <= {0.0, 1.0}:
         raise DegenerateLabels(f"labels must be binary 0/1, got {sorted(classes)}")
     if len(classes) < 2:

@@ -9,6 +9,7 @@ are ``<f8`` unless the header's ``"dtypes"`` object maps its name to
 ``<u4`` or ``<u8``.
 """
 
+import io
 import json
 import math
 import os
@@ -40,14 +41,17 @@ def atomic_write(path):
         raise
 
 
-def utf8_lines(fh, path):
-    """Lines of the binary file ``fh`` as text; a line that is not UTF-8 is
-    a ParseError naming ``path`` and the line."""
-    for lineno, line in enumerate(fh, start=1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"invalid UTF-8 in {path}", lineno) from None
+def utf8_lines(data, path):
+    """Lines of the bytes ``data`` as io.StringIO(newline="") splits them; a
+    ParseError naming ``path`` at the first line (counted by ``\\n``) that
+    is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        good = data.rfind(b"\n", 0, err.start) + 1
+        yield from io.StringIO(data[:good].decode("utf-8"), newline="")
+        raise ParseError(f"invalid UTF-8 in {path}", data.count(b"\n", 0, good) + 1) from None
+    yield from io.StringIO(text, newline="")
 
 
 def write_container(path, magic, version, header, sections):

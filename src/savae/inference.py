@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllDocumentsEmpty, IoError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, utf8_lines
 # elbo and encode are unused here; the benchmark's tracer wraps them by these names
 from .model import elbo, elbo_estimates, encode, encode_docs  # noqa: F401
 from .numerics import RngStream, perplexity
@@ -161,24 +161,12 @@ def _loadtxt_lenient(data):
     return bool(((raw[pairs] != 0x0D) | (raw[pairs + 1] != 0x0A)).any())
 
 
-def _text_lines(data, path):
-    """Lines of ``data`` as io.StringIO(newline="") splits them; a ParseError
-    at the first line (counted by ``\\n``) that is not UTF-8."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        good = data.rfind(b"\n", 0, err.start) + 1
-        yield from io.StringIO(data[:good].decode("utf-8"), newline="")
-        raise ParseError(f"invalid UTF-8 in {path}", data.count(b"\n", 0, good) + 1) from None
-    yield from io.StringIO(text, newline="")
-
-
 def _check_rows(data, path):
     """Raise the ParseError of the first bad line of the representation CSV
     ``data``: a wrong field count, a number that int() or float() rejects,
     or one that np.loadtxt rejects (digit separators, non-ASCII digits, ids
     outside int64). Lines are counted as rows, the header being line 1."""
-    rows = _numbered_rows(csv.reader(_text_lines(data, path)), path)
+    rows = _numbered_rows(csv.reader(utf8_lines(data, path)), path)
     d = _vector_width(rows, path)
     for lineno, row in rows:
         if len(row) != d + 2:

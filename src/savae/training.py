@@ -56,8 +56,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     seed: int = 0
-    checkpoint_every: int = 100
-    checkpoint_dir: str = None
 
     def __post_init__(self):
         problems = []
@@ -67,8 +65,6 @@ class TrainConfig:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
-        if self.checkpoint_every < 0:
-            problems.append("checkpoint_every must be >= 0")
         if problems:
             raise ConfigError(problems)
 
@@ -181,7 +177,7 @@ def train(corpus, model_config, train_config, progress=None):
     """Train on ``corpus.train``; returns (final params, per-epoch log).
 
     Empty documents are excluded up front. ``progress``, if given, is
-    called with each EpochRecord as it completes.
+    called with each EpochRecord and the live params as its epoch ends.
     """
     docs = [doc for doc in corpus.train if not doc.is_empty]
     if not docs:
@@ -193,7 +189,6 @@ def train(corpus, model_config, train_config, progress=None):
     log = TrainLog()
     n = len(docs)
     bs = train_config.batch_size
-    ckpt_dir = Path(train_config.checkpoint_dir) if train_config.checkpoint_dir else None
 
     for epoch in range(1, train_config.epochs + 1):
         started = time.perf_counter()
@@ -228,11 +223,7 @@ def train(corpus, model_config, train_config, progress=None):
         )
         log.records.append(record)
         if progress is not None:
-            progress(record)
-        if ckpt_dir is not None and train_config.checkpoint_every > 0:
-            if epoch % train_config.checkpoint_every == 0:
-                ckpt_dir.mkdir(parents=True, exist_ok=True)
-                save_checkpoint(params, model_config, ckpt_dir / f"epoch_{epoch:05d}.savm")
+            progress(record, params)
     return params, log
 
 

@@ -231,7 +231,6 @@ class TestCriterion6AblationDirection:
                 mcfg = ModelConfig(mode=mode, m=len(split.vocabulary), d=50, k=5)
                 tcfg = training.TrainConfig(
                     learning_rate=lr, epochs=200, batch_size=64, seed=seed,
-                    checkpoint_every=0,
                 )
                 params, _ = training.train(split, mcfg, tcfg)
                 reps_tr = inference.represent_batch(split.train, params, mcfg)
@@ -289,7 +288,7 @@ class TestCriterion7LinearProbe:
         split = corpus_mod.build_split(pairs[:1600], pairs[1600:], 2000, 2)
         mcfg = ModelConfig(mode="savae", m=len(split.vocabulary), d=50, k=5)
         tcfg = training.TrainConfig(learning_rate=1e-4, epochs=50, batch_size=64,
-                                    seed=2, checkpoint_every=0)
+                                    seed=2)
         params, _ = training.train(split, mcfg, tcfg)
         reps_tr = inference.represent_batch(split.train, params, mcfg)
         reps_te = inference.represent_batch(split.test, params, mcfg)
@@ -324,7 +323,7 @@ class TestCriterion8Determinism:
             split = corpus_mod.build_split(pairs, [], 2000, 1)
             mcfg = ModelConfig(mode="nvdm", m=len(split.vocabulary), d=50, k=5)
             tcfg = training.TrainConfig(learning_rate=1e-4, epochs=200, batch_size=64,
-                                        seed=1, checkpoint_every=0)
+                                        seed=1)
             params, _ = training.train(split, mcfg, tcfg)
             blobs.append(b"".join(a.tobytes() for a in params.named_arrays().values()))
         ok = blobs[0] == blobs[1]

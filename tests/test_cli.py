@@ -69,6 +69,10 @@ COMMANDS = {
               "--test", "rep/representations_test.csv"],
 }
 
+# a one-epoch train on the ``fitted`` corpus, from a directory that links it as ``fit``
+TRAIN_FIT = ["--corpus", "fit/pre/corpus.savc", "--mode", "nvdm", "--d", "2", "--epochs", "1",
+             "--batch-size", "4"]
+
 # (command, flag, config key, flag value, config-file value); the flag goes
 # after the subcommand unless the command is None, and then before "represent"
 FLAG_KEYS = [
@@ -167,6 +171,31 @@ class TestPipeline:
                  "--batch-size", 4, "--seed", 7])
             blobs.append((tmp_path / name / "model.savm").read_bytes())
         assert blobs[0] == blobs[1]
+        capsys.readouterr()
+
+    def test_periodic_checkpoints_written(self, tmp_path, fitted, capsys):
+        (tmp_path / "run.cfg").write_text("train.checkpoint_every=2\n")
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path / "t", "train",
+                    "--corpus", fitted / "pre" / "corpus.savc", "--mode", "nvdm", "--d", 2,
+                    "--epochs", 5, "--batch-size", 4]) == 0
+        ckpts = tmp_path / "t" / "checkpoints"
+        assert sorted(p.name for p in ckpts.iterdir()) == ["epoch_00002.savm", "epoch_00004.savm"]
+        # a run that stops at epoch 4 ends where the periodic checkpoint does
+        assert run(["--out", tmp_path / "four", "train", "--corpus", fitted / "pre" / "corpus.savc",
+                    "--mode", "nvdm", "--d", 2, "--epochs", 4, "--batch-size", 4]) == 0
+        assert (ckpts / "epoch_00004.savm").read_bytes() == (
+            tmp_path / "four" / "model.savm"
+        ).read_bytes()
+        capsys.readouterr()
+
+    def test_checkpoint_every_0_writes_no_checkpoint(self, tmp_path, fitted, capsys):
+        (tmp_path / "run.cfg").write_text("train.checkpoint_every=0\n")
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path / "t", "train",
+                    "--corpus", fitted / "pre" / "corpus.savc", "--mode", "nvdm", "--d", 2,
+                    "--epochs", 2, "--batch-size", 4]) == 0
+        assert sorted(p.name for p in (tmp_path / "t").iterdir()) == [
+            "manifest.txt", "model.savm", "trainlog.csv"
+        ]
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -388,6 +417,11 @@ class TestErrorsAndConfig:
         assert code == 1
         assert capsys.readouterr().err == "error: ConfigError: learning_rate must be finite and > 0\n"
         assert not (tmp_path / "t" / "model.savm").exists()
+
+    def test_bare_cr_ends_a_config_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"model.d=4\rtrain.epochs=2 # two\r\rseed=3")
+        assert read_config_file(cfg) == {"model.d": "4", "train.epochs": "2", "seed": "3"}
 
     def test_config_file_and_flag_precedence(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "run.cfg"
@@ -777,6 +811,36 @@ class TestCategorizedErrors:
                 ["--config", "ckpt.cfg", "train", "--corpus", "fit/pre/corpus.savc"],
                 "error: ConfigError: checkpoint_every must be >= 0\n",
                 id="negative-checkpoint-every",
+            ),
+            pytest.param(
+                {"ckpt.cfg": b"train.checkpoint_every=1\n", "run/checkpoints": b""},
+                ["--config", "ckpt.cfg", "--out", "run", "train", *TRAIN_FIT],
+                "error: IoError: File exists: run/checkpoints\n",
+                id="checkpoints-is-a-file",
+            ),
+            pytest.param(
+                {"run/model.savm/keep": b""},
+                ["--out", "run", "train", *TRAIN_FIT],
+                "error: IoError: Is a directory: run/model.savm\n",
+                id="model-savm-is-a-directory",
+            ),
+            pytest.param(
+                {"ckdir/keep": b""},
+                ["represent", "--checkpoint", "ckdir", "--corpus", "fit/pre/corpus.savc"],
+                "error: IoError: Is a directory: ckdir\n",
+                id="checkpoint-is-a-directory",
+            ),
+            pytest.param(
+                {"codir/keep": b""},
+                ["represent", "--checkpoint", "fit/t/model.savm", "--corpus", "codir"],
+                "error: IoError: Is a directory: codir\n",
+                id="corpus-is-a-directory",
+            ),
+            pytest.param(
+                {"repdir/keep": b""},
+                ["eval-cluster", "--reps", "repdir"],
+                "error: IoError: Is a directory: repdir\n",
+                id="reps-is-a-directory",
             ),
             pytest.param(
                 {},

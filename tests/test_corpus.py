@@ -130,6 +130,14 @@ class TestBuildVocabulary:
         with pytest.raises(EmptyCorpus):
             build_vocabulary([[], []], max_size=5)
 
+    def test_max_size_0_raises(self):
+        with pytest.raises(ValueError, match="^max_size must be >= 1$"):
+            build_vocabulary([["aa"]], max_size=0)
+
+    def test_counts_must_match_tokens(self):
+        with pytest.raises(ValueError, match="^counts/tokens length mismatch$"):
+            Vocabulary(tokens=["aa", "bb"], counts=[1])
+
     def test_index_inverse_of_tokens(self):
         vocab = build_vocabulary([["aa", "bb", "aa", "cc"]], max_size=10)
         for i, tok in enumerate(vocab.tokens):
@@ -229,6 +237,30 @@ class TestLoadCorpus:
     def test_missing_path(self, tmp_path):
         with pytest.raises(IoError):
             load_corpus(tmp_path / "nope", "unlabeled-lines")
+
+    def test_newsgroup_dirs_on_a_file(self, tmp_path):
+        f = tmp_path / "docs.txt"
+        f.write_text("first doc\n")
+        with pytest.raises(IoError, match=f"^not a directory: {re.escape(str(f))}$"):
+            load_corpus(f, "newsgroup-dirs")
+
+    @pytest.mark.parametrize("fmt", ["labeled-lines", "unlabeled-lines"])
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path, fmt):
+        f = tmp_path / "docs.txt"
+        f.write_text("a\tfirst doc\n\n\na\tsecond doc\n\nno tab\n")
+        if fmt == "unlabeled-lines":
+            assert [text for text, _ in load_corpus(f, fmt)] == [
+                "a\tfirst doc", "a\tsecond doc", "no tab"
+            ]
+        else:
+            with pytest.raises(ParseError, match="^line 6: expected 'label<TAB>text'$"):
+                load_corpus(f, fmt)
+
+    def test_unknown_format(self, tmp_path):
+        f = tmp_path / "docs.txt"
+        f.write_text("first doc\n")
+        with pytest.raises(ValueError, match="^unknown corpus format: csv$"):
+            load_corpus(f, "csv")
 
 
 class TestShuffleSplit:

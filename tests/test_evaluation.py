@@ -62,6 +62,16 @@ def random_clustered_data(rng, n_clusters=None, n_points=None, d=5):
 
 
 class TestClusteringIndices:
+    @pytest.mark.parametrize("index", [davies_bouldin, dunn, silhouette])
+    def test_label_count_mismatch(self, index):
+        with pytest.raises(ValueError, match="^representation/label count mismatch$"):
+            index(np.eye(3), ["a", "b"])
+
+    @pytest.mark.parametrize("index", [davies_bouldin, dunn, silhouette])
+    def test_one_cluster(self, index):
+        with pytest.raises(DegenerateClusters, match="^need at least 2 clusters$"):
+            index(np.eye(3), ["a"] * 3)
+
     def test_tight_orthogonal_clusters(self):
         reps = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
         labels = ["a"] * 3 + ["b"] * 3
@@ -129,6 +139,19 @@ class TestClusteringIndices:
 
 
 class TestRetrievalPr:
+    def test_unknown_relevance(self):
+        reps = np.eye(2)
+        with pytest.raises(ValueError, match="^unknown relevance mode: cosine$"):
+            retrieval_pr(reps, [{"a"}, {"b"}], reps, [{"a"}, {"b"}], "cosine")
+
+    @pytest.mark.parametrize("side", ["queries", "index"])
+    def test_empty_side(self, side):
+        reps, labels = np.eye(2), [{"a"}, {"b"}]
+        empty, none = np.empty((0, 2)), []
+        args = (empty, none, reps, labels) if side == "queries" else (reps, labels, empty, none)
+        with pytest.raises(ValueError, match="^queries and index must be non-empty$"):
+            retrieval_pr(*args, "exact")
+
     def test_all_same_label_perfect_precision(self, np_rng):
         index = np_rng.normal(size=(10, 4))
         queries = np_rng.normal(size=(3, 4))
@@ -331,6 +354,11 @@ class TestLinearProbe:
         X = np.concatenate([X0, X1])
         y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
         return X, y
+
+    def test_labels_must_be_binary(self, np_rng):
+        X, y = self._blobs(np_rng, n=8)
+        with pytest.raises(DegenerateLabels, match=r"^labels must be binary 0/1, got \[0\.0, 2\.0\]$"):
+            linear_probe(X, 2 * y, X, y)
 
     def test_separable_blobs_perfect(self, np_rng):
         X, y = self._blobs(np_rng, sep=12.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import container_bytes
-from savae.errors import CorruptFile, UnsupportedVersion
-from savae.fileio import ContainerReader, write_container
+from savae.errors import CorruptFile, ParseError, UnsupportedVersion
+from savae.fileio import ContainerReader, utf8_lines, write_container
 
 MAGIC = b"TEST"
 SECTIONS = [
@@ -29,6 +29,18 @@ def _read_all(path, sections=SECTIONS):
         arrays = [r.section(name, dtype, np.shape(values)) for name, dtype, values in sections]
         r.finish()
     return r.header, arrays
+
+
+def test_utf8_lines_split_as_universal_newlines():
+    data = "a\nb\r\ncafé\rd".encode()
+    assert list(utf8_lines(data, "f.txt")) == ["a\n", "b\r\n", "café\r", "d"]
+
+
+def test_utf8_lines_stop_at_the_first_line_not_utf8():
+    lines = utf8_lines(b"a\nb\r\nc\xffd\ne\xff\n", "f.txt")
+    assert [next(lines), next(lines)] == ["a\n", "b\r\n"]
+    with pytest.raises(ParseError, match="^line 3: invalid UTF-8 in f.txt$"):
+        next(lines)
 
 
 def test_golden_bytes(tmp_path):

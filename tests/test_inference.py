@@ -133,6 +133,11 @@ class TestRepresentBatch:
 
 
 class TestEvaluateBound:
+    def test_needs_a_sample(self):
+        cfg = tiny_config("nvdm", m=6)
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            evaluate_bound([Document(ids=[0, 1])], zero_model(cfg), cfg, samples=0)
+
     def test_uniform_model_perplexity(self):
         cfg = tiny_config("nvdm", m=6)
         params = zero_model(cfg)

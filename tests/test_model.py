@@ -58,6 +58,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="must be integers"):
                 ModelConfig.from_dict({**data, key: value})
 
+    def test_rejects_k_0_in_savae_mode_only(self):
+        with pytest.raises(ConfigError, match="^k must be >= 1 in savae mode$"):
+            ModelConfig("savae", 10, 2, k=0, encoder_layers=(4,))
+        assert ModelConfig("nvdm", 10, 2, k=0, encoder_layers=(4,)).k == 0
+
     def test_decoder_dim(self):
         assert tiny_config("savae", d=3).decoder_dim == 6
         assert tiny_config("nvdm", d=3).decoder_dim == 3
@@ -577,6 +582,21 @@ class TestElbo:
         with pytest.raises(ValueError, match=r"eps must have shape \(2, S >= 1, 2\)"):
             elbo_estimates(docs, random_model(cfg), cfg, np.zeros(shape))
 
+    def test_no_documents_no_estimates(self):
+        cfg = tiny_config()
+        assert elbo_estimates([], random_model(cfg), cfg, np.zeros((0, 3, cfg.d))) == []
+
+    def test_empty_document_is_rejected(self):
+        cfg = tiny_config()
+        docs = [Document(ids=[0, 1]), Document(ids=[])]
+        with pytest.raises(EmptyDocument, match="^cannot evaluate an empty document$"):
+            elbo_estimates(docs, random_model(cfg), cfg, np.zeros((2, 1, cfg.d)))
+
+    def test_elbo_needs_a_sample(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            elbo(Document(ids=[0, 1]), random_model(cfg), cfg, RngStream(0), samples=0)
+
     def test_nvdm_bound_block_repeats_no_counts(self):
         # one block of 12 documents of 20 tokens and S = 20, so 240 z rows:
         # z parts, their shifted copy and its exps take 3.84 MB each, and a
@@ -775,6 +795,11 @@ class TestGradients:
         eps = np.zeros((1, cfg.d))
         with pytest.raises(EmptyDocument):
             batch_elbo_gradients([Document(ids=[])], random_model(cfg), cfg, eps)
+
+    def test_empty_batch_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="^empty batch$"):
+            batch_elbo_gradients([], random_model(cfg), cfg, np.zeros((0, cfg.d)))
 
     def test_local_channel_is_freed_before_the_encoder_backward(self):
         # a batch shaped like the first 64 savae-news training documents of

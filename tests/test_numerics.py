@@ -144,6 +144,14 @@ class TestKl:
 
 
 class TestRngStream:
+    @pytest.mark.parametrize("draw", ["normal", "uniform"])
+    def test_empty_draw(self, draw):
+        rng = RngStream(3)
+        empty = getattr(rng, draw)((0, 4))
+        assert empty.shape == (0, 4) and empty.dtype == np.float64
+        # an empty draw consumes nothing from the stream
+        np.testing.assert_array_equal(getattr(rng, draw)((5,)), getattr(RngStream(3), draw)((5,)))
+
     def test_same_seed_same_normals(self):
         a = RngStream(42).normal((1000,))
         b = RngStream(42).normal((1000,))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import re
 import struct
@@ -183,16 +185,13 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.001, epochs=0)
 
-    def test_rejects_negative_checkpoint_every(self):
-        with pytest.raises(ConfigError, match="checkpoint_every must be >= 0"):
-            TrainConfig(learning_rate=0.001, epochs=1, checkpoint_every=-3)
+    def test_rejects_zero_batch_size(self):
+        with pytest.raises(ConfigError, match="^batch_size must be >= 1$"):
+            TrainConfig(learning_rate=0.001, epochs=1, batch_size=0)
 
-    def test_checkpoint_every_0_writes_no_checkpoint(self, tmp_path):
-        split = synthetic_two_topic_corpus(n_docs=8, m=6)
-        tcfg = TrainConfig(learning_rate=0.001, epochs=2, checkpoint_every=0,
-                           checkpoint_dir=str(tmp_path / "ckpts"))
-        train(split, tiny_config("nvdm", m=6), tcfg)
-        assert not (tmp_path / "ckpts").exists()
+    def test_config_fields(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names == ["learning_rate", "epochs", "batch_size", "seed"]
 
     def test_rejects_empty_corpus(self):
         cfg = tiny_config(m=4)
@@ -226,19 +225,48 @@ class TestTrain:
         assert log.records[-1].perplexity < log.records[0].perplexity
         assert len(log.records) == 50
 
-    def test_periodic_checkpoints_written(self, tmp_path):
+    def test_progress_sees_each_epoch_and_the_live_params(self):
+        split = synthetic_two_topic_corpus(n_docs=20, m=8)
+        mcfg = ModelConfig(mode="savae", m=8, d=2, k=2, encoder_layers=(4,))
+        calls = []
+
+        def progress(record, params):
+            calls.append((record, params, copy.deepcopy(params.named_arrays())))
+
+        params, log = train(split, mcfg, TrainConfig(0.01, epochs=3, batch_size=8), progress)
+        assert [record.epoch for record, _, _ in calls] == [1, 2, 3]
+        assert all(record is logged for (record, _, _), logged in zip(calls, log.records))
+        assert all(live is params for _, live, _ in calls)
+        # the params as each epoch ended are those of a run that stops there
+        for epoch, (_, _, arrays) in enumerate(calls, start=1):
+            stopped, _ = train(split, mcfg, TrainConfig(0.01, epochs=epoch, batch_size=8))
+            for name, arr in stopped.named_arrays().items():
+                np.testing.assert_array_equal(arrays[name], arr)
+
+    def test_failing_progress_keeps_earlier_checkpoints(self, tmp_path):
         split = synthetic_two_topic_corpus(n_docs=20, m=8)
         mcfg = ModelConfig(mode="nvdm", m=8, d=2, encoder_layers=(4,))
-        tcfg = TrainConfig(
-            learning_rate=0.001,
-            epochs=4,
-            batch_size=8,
-            checkpoint_every=2,
-            checkpoint_dir=str(tmp_path / "ckpts"),
-        )
-        train(split, mcfg, tcfg)
-        names = sorted(p.name for p in (tmp_path / "ckpts").iterdir())
-        assert names == ["epoch_00002.savm", "epoch_00004.savm"]
+
+        def progress(record, params):
+            save_checkpoint(params, mcfg, tmp_path / f"epoch_{record.epoch}.savm")
+            if record.epoch == 2:
+                raise RuntimeError("stopped after epoch 2")
+
+        with pytest.raises(RuntimeError, match="stopped after epoch 2"):
+            train(split, mcfg, TrainConfig(0.01, epochs=4, batch_size=8), progress)
+        one, _ = train(split, mcfg, TrainConfig(0.01, epochs=1, batch_size=8))
+        save_checkpoint(one, mcfg, tmp_path / "one.savm")
+        assert (tmp_path / "epoch_1.savm").read_bytes() == (tmp_path / "one.savm").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "epoch_1.savm", "epoch_2.savm", "one.savm"
+        ]
+
+    def test_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        split = synthetic_two_topic_corpus(n_docs=20, m=8)
+        mcfg = ModelConfig(mode="nvdm", m=8, d=2, encoder_layers=(4,))
+        train(split, mcfg, TrainConfig(0.01, epochs=2, batch_size=8))
+        assert list(tmp_path.iterdir()) == []
 
     def test_trainlog_csv_shape(self):
         split = synthetic_two_topic_corpus(n_docs=12, m=6)

@@ -43,14 +43,15 @@ def atomic_write(path):
 
 def utf8_lines(data, path):
     """Lines of the bytes ``data`` as io.StringIO(newline="") splits them; a
-    ParseError naming ``path`` at the first line (counted by ``\\n``) that
-    is not UTF-8."""
+    ParseError naming ``path`` at the first line, counted as they split,
+    that is not UTF-8."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        good = data.rfind(b"\n", 0, err.start) + 1
-        yield from io.StringIO(data[:good].decode("utf-8"), newline="")
-        raise ParseError(f"invalid UTF-8 in {path}", data.count(b"\n", 0, good) + 1) from None
+        good = max(data.rfind(b"\n", 0, err.start), data.rfind(b"\r", 0, err.start)) + 1
+        lines = io.StringIO(data[:good].decode("utf-8"), newline="").readlines()
+        yield from lines
+        raise ParseError(f"invalid UTF-8 in {path}", len(lines) + 1) from None
     yield from io.StringIO(text, newline="")
 
 

@@ -16,13 +16,12 @@ mode). Training and evaluation both use the split:
 
 - Evaluation scores each document under S posterior samples, an (N, S, d)
   draw, on the packed layout that training uses: concatenated ids plus
-  lengths, with one local-context pass over all documents. Consecutive
-  documents are grouped into blocks of at most ``_ROW_BLOCK`` positions
-  and ``_ROW_BLOCK // S`` documents, and each block takes its z parts and
-  position parts from one GEMM each. In savae mode a document's S x l
-  softmax normalisers come from one GEMM of exponentials rather than from
-  an (S, l, m) logit tensor; pairs whose factored sum underflows are
-  recomputed directly (see ``_packed_log_likelihoods``).
+  lengths, with one local-context pass over all documents. Groups of
+  ``max(1, _ROW_BLOCK // S)`` documents take their z parts from one GEMM,
+  and in savae mode a group's positions run in training's slices of
+  ``_ROW_BLOCK``; a document's S x l softmax normalisers come from GEMMs
+  of exponentials, not an (S, l, m) logit tensor, and no buffer grows with
+  its length (see ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
@@ -67,8 +66,8 @@ __all__ = [
 SAVAE = "savae"
 NVDM = "nvdm"
 
-# rows per block: of the savae training softmax, of the bound's documents and
-# of the encoder's dense blocks
+# rows per block: of the savae softmax's position slices, in training and in
+# the bound, of the bound's z parts and of the encoder's dense blocks
 _ROW_BLOCK = 256
 
 # documents per block of the encoder (encode_docs), widened to _ROW_BLOCK
@@ -383,29 +382,16 @@ def _bag_of_words_log_likelihoods(logits, counts, length):
     return np.vecdot(logits, counts) - length * lse, lse
 
 
-def _doc_blocks(lengths, samples):
-    """(first, stop) ranges of consecutive documents, each with at most
-    ``_ROW_BLOCK`` positions and ``_ROW_BLOCK`` z rows (``samples`` per
-    document); a document over either limit is a block of its own."""
-    blocks = []
-    first = positions = rows = 0
-    for i, length in enumerate(lengths):
-        if i > first and (positions + length > _ROW_BLOCK or rows + samples > _ROW_BLOCK):
-            blocks.append((first, i))
-            first, positions, rows = i, 0, 0
-        positions += length
-        rows += samples
-    blocks.append((first, len(lengths)))
-    return blocks
-
-
 def _packed_log_likelihoods(ids, lengths, Z, params, config):
     """log p(doc | z), shape (N, S), for the S rows of ``Z[i]`` (shape
     (N, S, d)) of each of N concatenated documents.
 
     ``ids`` holds documents of ``lengths`` tokens back to back. Documents
-    are scored in the blocks of ``_doc_blocks``, and a row's last bits can
-    change with the other documents of its block.
+    are scored in groups of ``max(1, _ROW_BLOCK // S)`` consecutive ones,
+    and a group's positions in slices of ``_ROW_BLOCK``, as training's
+    softmax runs; a row's last bits can change with the other documents of
+    its group. No m-wide array has more than ``max(S, _ROW_BLOCK)`` rows,
+    however long a document is.
 
     In savae mode every logit splits into a sample part and a position
     part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
@@ -415,12 +401,13 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
         sum_j exp(logits[s, t, j] - zmax[s] - pmax[t])
             = (exp(z_part - zmax) @ exp(pos_part - pmax).T)[s, t]:
 
-    a block takes its z parts and its position parts from one GEMM each,
-    exps them in place, and each document's S x l softmax normalisers come
-    from one (S, m) x (m, l) GEMM; the (S, l, m) logits are never formed.
-    The shared shifts can underflow the product for a pair whose two
-    argmaxes disagree by hundreds of nats; those pairs, and only those,
-    are recomputed by the direct log-sum-exp over their m logits.
+    a group takes its z parts from one GEMM and a slice its position parts
+    from another, each exponentiated in place, and each piece of a document
+    in a slice takes its S x l softmax normalisers from one (S, m) x (m, l)
+    GEMM; the (S, l, m) logits are never formed. The shared shifts can
+    underflow the product for a pair whose two argmaxes disagree by
+    hundreds of nats; those pairs, and only those, are recomputed by the
+    direct log-sum-exp over their m logits, ``_ROW_BLOCK`` pairs at a time.
 
     In nvdm mode the position dimension collapses, so the likelihood
     accumulates through word counts; this makes the result exactly
@@ -429,22 +416,23 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     m, d = config.m, config.d
-    S = Z.shape[1]
-    t_start = np.cumsum(lengths) - lengths
-    blocks = _doc_blocks(lengths, S)
+    N, S = Z.shape[:2]
+    t_edge = np.concatenate([[0], np.cumsum(lengths)])  # document i spans t_edge[i : i + 2]
+    per_group = max(1, _ROW_BLOCK // S)
     # the GEMMs run faster on a contiguous copy of X^T
     X_T = np.ascontiguousarray(params.X.T)
     X_z_T = X_T[:d]
-    z_part_buf = np.empty((max(b - a for a, b in blocks) * S, m))
-    out = np.empty(Z.shape[:2])
+    z_part_buf = np.empty((min(per_group, N) * S, m))
+    out = np.empty((N, S))
     if config.mode == SAVAE:
         H, _ = _local_contexts(ids, lengths, params, config)
         X_local_T = X_T[d:]
-        pos_part_buf = np.empty((max(lengths[a:b].sum() for a, b in blocks), m))
+        pos_part_buf = np.empty((min(_ROW_BLOCK, len(ids)), m))
     f64 = np.finfo(np.float64)
-    for a, b in blocks:
+    for a in range(0, N, per_group):
+        b = min(a + per_group, N)
         nb = b - a
-        t0, t1 = t_start[a], t_start[b - 1] + lengths[b - 1]
+        t0, t1 = t_edge[a], t_edge[b]
         z_part = np.matmul(Z[a:b].reshape(nb * S, d), X_z_T, out=z_part_buf[: nb * S])
         z_part += params.b  # rows * m adds here, positions * m on pos_part
         targets = ids[t0:t1]
@@ -454,32 +442,37 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
                 z_part.reshape(nb, S, m), counts[:, None], lengths[a:b, None]
             )[0]
             continue
-        pos_part = np.matmul(H[t0:t1], X_local_T, out=pos_part_buf[: t1 - t0])
-        starts = t_start[a:b] - t0
-        doc = np.repeat(np.arange(nb), lengths[a:b])  # the block's document of each position
+        doc = np.repeat(np.arange(nb), lengths[a:b])  # the group's document of each position
         # the (S, positions) picked logits, gathered before both parts become their exps
         picked = z_part.reshape(nb, S, m)[doc, :, targets].T
-        picked += pos_part[np.arange(t1 - t0), targets]
         zmax = z_part.max(axis=1)
-        pmax = pos_part.max(axis=1)
         np.exp(np.subtract(z_part, zmax[:, None], out=z_part), out=z_part)
-        np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
-        sums = np.empty((S, t1 - t0))
-        for j, (ts, te) in enumerate(zip(starts, starts + lengths[a:b])):
-            np.matmul(z_part[j * S : (j + 1) * S], pos_part[ts:te].T, out=sums[:, ts:te])
-        shift = zmax.reshape(nb, S)[doc].T + pmax
-        # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
-        # underflow, even where subnormals are flushed to zero, so a sum of
-        # at least m * tiny / eps has lost at most one ulp. Smaller sums mean
-        # a term far below the pair's true maximum carried the shifts; redo
-        # them.
-        low_s, low_t = np.nonzero(sums < m * f64.tiny / f64.eps)
-        if len(low_s):
+        for s0 in range(t0, t1, _ROW_BLOCK):
+            s1 = min(s0 + _ROW_BLOCK, t1)
+            here = slice(s0 - t0, s1 - t0)  # the slice's columns of picked
+            pos_part = np.matmul(H[s0:s1], X_local_T, out=pos_part_buf[: s1 - s0])
+            picked[:, here] += pos_part[np.arange(s1 - s0), ids[s0:s1]]
+            pmax = pos_part.max(axis=1)
+            np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
+            sums = np.empty((S, s1 - s0))
+            cut = np.clip(t_edge[a : b + 1], s0, s1) - s0  # document j's piece: cut[j : j + 2]
+            for j in range(doc[s0 - t0], doc[s1 - 1 - t0] + 1):
+                piece = slice(cut[j], cut[j + 1])
+                np.matmul(z_part[j * S : (j + 1) * S], pos_part[piece].T, out=sums[:, piece])
+            shift = zmax.reshape(nb, S)[doc[here]].T + pmax
+            # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
+            # underflow, even where subnormals are flushed to zero, so a sum of
+            # at least m * tiny / eps has lost at most one ulp. Smaller sums mean
+            # a term far below the pair's true maximum carried the shifts; redo
+            # them.
+            low_s, low_t = np.nonzero(sums < m * f64.tiny / f64.eps)
             sums[low_s, low_t] = 1.0
-            z_rows = Z[a + doc[low_t], low_s] @ X_z_T + params.b
-            shift[low_s, low_t] = _logsumexp_rows(z_rows + H[t0 + low_t] @ X_local_T)
-        picked -= np.log(sums) + shift
-        out[a:b] = np.add.reduceat(picked, starts, axis=1).T
+            for c in range(0, len(low_s), _ROW_BLOCK):
+                ls, lt = low_s[c : c + _ROW_BLOCK], low_t[c : c + _ROW_BLOCK]
+                z_rows = Z[a + doc[s0 - t0 + lt], ls] @ X_z_T + params.b
+                shift[ls, lt] = _logsumexp_rows(z_rows + H[s0 + lt] @ X_local_T)
+            picked[:, here] -= np.log(sums) + shift
+        out[a:b] = np.add.reduceat(picked, t_edge[a:b] - t0, axis=1).T
     return out
 
 

@@ -754,6 +754,14 @@ class TestCategorizedErrors:
                 "error: ParseError: line 2: invalid UTF-8 in bad.cfg",
                 id="config-file-invalid-utf8",
             ),
+            # a bare "\r" ends a line, so the bad line is the third
+            pytest.param(
+                {"bad.cfg": b"model.d=3\rmodel.k=2\n\xff\n", "in.txt": b"a\thello world\n"},
+                ["--config", "bad.cfg", "preprocess", "--input", "in.txt",
+                 "--format", "labeled-lines"],
+                "error: ParseError: line 3: invalid UTF-8 in bad.cfg",
+                id="config-file-invalid-utf8-after-bare-cr",
+            ),
             pytest.param(
                 {"q.csv": b"id,labels,v0\n0,a,1.0\n1,b\xff,0.5\n",
                  "i.csv": b"id,labels,v0\n0,a,1.0\n"},

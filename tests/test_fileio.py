@@ -43,6 +43,17 @@ def test_utf8_lines_stop_at_the_first_line_not_utf8():
         next(lines)
 
 
+@pytest.mark.parametrize(
+    "data,good",
+    [(b"a\rb\n\xff\n", ["a\r", "b\n"]), (b"a\nb\r\xff", ["a\n", "b\r"]), (b"\r\xff\r", ["\r"])],
+)
+def test_utf8_lines_number_the_bad_line_as_they_split(data, good):
+    lines = utf8_lines(data, "f.txt")
+    assert [next(lines) for _ in good] == good
+    with pytest.raises(ParseError, match=f"^line {len(good) + 1}: invalid UTF-8 in f.txt$"):
+        next(lines)
+
+
 def test_golden_bytes(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, MAGIC, 7, HEADER, {name: values for name, _, values in SECTIONS})

@@ -335,6 +335,18 @@ class TestRepresentationCsv:
                 b"id,labels,v0\n0,a,1.0\n1,b\xff,0.5\n",
                 ParseError, "line 3: invalid UTF-8 in {path}", id="invalid-utf8",
             ),
+            # a bare "\r" ends a row, as it does for the non-numeric field
+            # of the next case
+            pytest.param(
+                b"id,labels,v0\r0,a,1.0\r\n1,b,\xff\r\n",
+                ParseError, "line 3: invalid UTF-8 in {path}", id="invalid-utf8-after-bare-cr",
+            ),
+            pytest.param(
+                b"id,labels,v0\r0,a,1.0\r\n1,b,x\r\n",
+                ParseError,
+                "line 3: non-numeric field in {path}: could not convert string to float: 'x'",
+                id="non-numeric-after-bare-cr",
+            ),
             pytest.param(
                 b"id,labels,v0\n0,a,x\n1,b\xff,0.5\n",
                 ParseError,

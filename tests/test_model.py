@@ -440,17 +440,24 @@ class TestFactoredLikelihood:
         np.testing.assert_allclose(ours, theirs, rtol=1e-12)
         assert ours[0] == pytest.approx(-len(ids) * np.log(2.0), rel=1e-15)
 
-    @pytest.mark.parametrize("gap", [1000.0, 740.0])
-    def test_underflowing_pairs_recomputed_inside_a_block(self, gap, monkeypatch):
-        # the same underflowing document, now second of three in one block;
-        # the others take z = 0, whose pairs never underflow
+    @pytest.mark.parametrize(
+        "gap,lead",
+        [(1000.0, 1), (740.0, 1), (1000.0, 100), (740.0, 100)],
+        ids=["1000.0", "740.0", "1000.0-second-slice", "740.0-second-slice"],
+    )
+    def test_underflowing_pairs_recomputed_inside_a_block(self, gap, lead, monkeypatch):
+        # the same underflowing document, now second of three in one group,
+        # after 3 or 300 positions: in the group's first position slice or
+        # wholly in its second. The others take z = 0, whose pairs never
+        # underflow
         config = ModelConfig(mode="savae", m=2, d=1, k=2, encoder_layers=(2,))
         params = zero_model(config)
         params.X[:, 0] = [gap / 2, -gap / 2]
         params.X[:, 1] = [-gap, gap]
-        docs = [[1, 0, 0], [0, 1, 1, 0, 1], [1, 1]]
+        docs = [[1, 0, 0] * lead, [0, 1, 1, 0, 1], [1, 1]]
         Z = np.array([[0.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
-        assert model._doc_blocks([3, 5, 2], 2) == [(0, 3)]
+        assert model._ROW_BLOCK // 2 >= 3  # one group of documents at S = 2
+        assert 3 * lead // model._ROW_BLOCK == (3 * lead + 4) // model._ROW_BLOCK  # one slice
         direct = model._logsumexp_rows
         direct_rows = []
 
@@ -460,7 +467,7 @@ class TestFactoredLikelihood:
 
         monkeypatch.setattr(model, "_logsumexp_rows", spy)
         ours = model._packed_log_likelihoods(
-            np.concatenate(docs), [3, 5, 2], Z.reshape(3, 2, 1), params, config
+            np.concatenate(docs), [len(ids) for ids in docs], Z.reshape(3, 2, 1), params, config
         ).ravel()
         assert direct_rows == [len(docs[1])]  # the second document's sample 0 only
         theirs = np.concatenate(
@@ -476,9 +483,8 @@ def document_lists(draw):
     """(config, params, docs, samples, seed) in either mode: up to 30 short
     documents plus an empty one, a single token and one longer than
     ``_ROW_BLOCK``, in a drawn order. Lengths up to k + 3 give documents
-    shorter and longer than k; 90 samples fill a block's z rows with two or
-    three documents, and 257 give a block of one document more z rows than
-    ``_ROW_BLOCK``."""
+    shorter and longer than k; 90 samples make groups of two documents, and
+    257 give a group of one document more z rows than ``_ROW_BLOCK``."""
     mode = draw(st.sampled_from(["savae", "nvdm"]))
     m = draw(st.integers(1, 9))
     k = draw(st.integers(1, 6))
@@ -498,8 +504,21 @@ def document_lists(draw):
     return config, params, [Document(ids=ids) for ids in docs], samples, seed
 
 
+def _slice_boundaries_case():
+    """A savae ``document_lists`` case: one group of four documents of 250,
+    10, 300 and 5 tokens at S = 2, whose position slices of ``_ROW_BLOCK``
+    = 256 end inside the second and the third document."""
+    config = ModelConfig(mode="savae", m=7, d=2, k=3, encoder_layers=(3,))
+    params = random_model(config, seed=4)
+    params.enc_W[0] /= 300
+    rng = np.random.default_rng(4)
+    docs = [Document(ids=rng.integers(0, 7, n).tolist()) for n in (250, 10, 300, 5)]
+    return config, params, docs, 2, 4
+
+
 class TestBlockComposition:
     @given(document_lists())
+    @example(_slice_boundaries_case())
     @settings(max_examples=25, deadline=None)
     def test_results_do_not_depend_on_the_other_documents(self, case):
         config, params, docs, samples, seed = case
@@ -598,7 +617,7 @@ class TestElbo:
             elbo(Document(ids=[0, 1]), random_model(cfg), cfg, RngStream(0), samples=0)
 
     def test_nvdm_bound_block_repeats_no_counts(self):
-        # one block of 12 documents of 20 tokens and S = 20, so 240 z rows:
+        # one group of 12 documents of 20 tokens and S = 20, so 240 z rows:
         # z parts, their shifted copy and its exps take 3.84 MB each, and a
         # per-row copy of the (12, m) counts would be a fourth
         config = ModelConfig(mode="nvdm", m=2000, d=10, encoder_layers=(8,))
@@ -606,7 +625,7 @@ class TestElbo:
         rng = np.random.default_rng(0)
         docs = [Document(ids=rng.integers(0, config.m, 20).tolist()) for _ in range(12)]
         eps = RngStream(0).normal((12, 20, config.d))
-        assert model._doc_blocks([20] * 12, 20) == [(0, 12)]
+        assert model._ROW_BLOCK // 20 == 12  # one group of documents at S = 20
         tracemalloc.start()
         try:
             elbo_estimates(docs, params, config, eps)
@@ -614,6 +633,23 @@ class TestElbo:
         finally:
             tracemalloc.stop()
         assert peak < 13e6
+
+    def test_savae_bound_memory_does_not_grow_with_document_length(self):
+        # one 4000-token document at S = 20: its position parts run in
+        # (256, m) slices of 4.1 MB, where a (4000, m) buffer took the
+        # traced peak to 67.8 MB
+        config = ModelConfig(mode="savae", m=2000, d=10, encoder_layers=(8,))
+        params = random_model(config)
+        params.enc_W[0] /= 4000  # keep the log-variance at short-document scale
+        doc = Document(ids=np.random.default_rng(0).integers(0, config.m, 4000).tolist())
+        eps = RngStream(0).normal((1, 20, config.d))
+        tracemalloc.start()
+        try:
+            elbo_estimates([doc], params, config, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_logsumexp_exponentiates_in_place(self):
         # the z parts of that block: the shifted copy takes 3.84 MB, and an

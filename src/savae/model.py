@@ -15,13 +15,13 @@ document, and a position part from the local context (absent in nvdm
 mode). Training and evaluation both use the split:
 
 - Evaluation scores each document under S posterior samples, an (N, S, d)
-  draw, on the packed layout that training uses: concatenated ids plus
-  lengths, with one local-context pass over all documents. Groups of
-  ``max(1, _ROW_BLOCK // S)`` documents take their z parts from one GEMM,
-  and in savae mode a group's positions run in training's slices of
-  ``_ROW_BLOCK``; a document's S x l softmax normalisers come from GEMMs
-  of exponentials, not an (S, l, m) logit tensor, and no buffer grows with
-  its length (see ``_packed_log_likelihoods``).
+  draw, on the packed layout that training uses. Groups of
+  ``max(1, _ROW_BLOCK // S)`` documents take their z parts from one GEMM;
+  in savae mode each group builds its own local contexts and runs its
+  positions in training's slices of ``_ROW_BLOCK``, and a document's S x l
+  softmax normalisers come from GEMMs of exponentials, not an (S, l, m)
+  logit tensor. The bound's memory grows with one group's tokens and the
+  (N, S, d) draws, not with the split (see ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
@@ -388,10 +388,10 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
 
     ``ids`` holds documents of ``lengths`` tokens back to back. Documents
     are scored in groups of ``max(1, _ROW_BLOCK // S)`` consecutive ones,
-    and a group's positions in slices of ``_ROW_BLOCK``, as training's
-    softmax runs; a row's last bits can change with the other documents of
-    its group. No m-wide array has more than ``max(S, _ROW_BLOCK)`` rows,
-    however long a document is.
+    each with its own local contexts and its positions in slices of
+    ``_ROW_BLOCK``, as a training batch runs; a row's last bits can change
+    with the other documents of its group. No m-wide array has more than
+    ``max(S, _ROW_BLOCK)`` rows, however long a document is.
 
     In savae mode every logit splits into a sample part and a position
     part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
@@ -425,41 +425,40 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
     z_part_buf = np.empty((min(per_group, N) * S, m))
     out = np.empty((N, S))
     if config.mode == SAVAE:
-        H, _ = _local_contexts(ids, lengths, params, config)
         X_local_T = X_T[d:]
         pos_part_buf = np.empty((min(_ROW_BLOCK, len(ids)), m))
     f64 = np.finfo(np.float64)
     for a in range(0, N, per_group):
         b = min(a + per_group, N)
         nb = b - a
-        t0, t1 = t_edge[a], t_edge[b]
+        targets = ids[t_edge[a] : t_edge[b]]
+        edge = t_edge[a : b + 1] - t_edge[a]  # the group's document j spans edge[j : j + 2]
         z_part = np.matmul(Z[a:b].reshape(nb * S, d), X_z_T, out=z_part_buf[: nb * S])
         z_part += params.b  # rows * m adds here, positions * m on pos_part
-        targets = ids[t0:t1]
         if config.mode == NVDM:
             counts = _packed_counts(targets, lengths[a:b], m)
             out[a:b] = _bag_of_words_log_likelihoods(
                 z_part.reshape(nb, S, m), counts[:, None], lengths[a:b, None]
             )[0]
             continue
+        H, _ = _local_contexts(targets, lengths[a:b], params, config)
         doc = np.repeat(np.arange(nb), lengths[a:b])  # the group's document of each position
         # the (S, positions) picked logits, gathered before both parts become their exps
         picked = z_part.reshape(nb, S, m)[doc, :, targets].T
         zmax = z_part.max(axis=1)
         np.exp(np.subtract(z_part, zmax[:, None], out=z_part), out=z_part)
-        for s0 in range(t0, t1, _ROW_BLOCK):
-            s1 = min(s0 + _ROW_BLOCK, t1)
-            here = slice(s0 - t0, s1 - t0)  # the slice's columns of picked
+        for s0 in range(0, len(targets), _ROW_BLOCK):
+            s1 = min(s0 + _ROW_BLOCK, len(targets))
             pos_part = np.matmul(H[s0:s1], X_local_T, out=pos_part_buf[: s1 - s0])
-            picked[:, here] += pos_part[np.arange(s1 - s0), ids[s0:s1]]
+            picked[:, s0:s1] += pos_part[np.arange(s1 - s0), targets[s0:s1]]
             pmax = pos_part.max(axis=1)
             np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
             sums = np.empty((S, s1 - s0))
-            cut = np.clip(t_edge[a : b + 1], s0, s1) - s0  # document j's piece: cut[j : j + 2]
-            for j in range(doc[s0 - t0], doc[s1 - 1 - t0] + 1):
+            cut = np.clip(edge, s0, s1) - s0  # document j's piece: cut[j : j + 2]
+            for j in range(doc[s0], doc[s1 - 1] + 1):
                 piece = slice(cut[j], cut[j + 1])
                 np.matmul(z_part[j * S : (j + 1) * S], pos_part[piece].T, out=sums[:, piece])
-            shift = zmax.reshape(nb, S)[doc[here]].T + pmax
+            shift = zmax.reshape(nb, S)[doc[s0:s1]].T + pmax
             # Each of the m products exp(a_j) * exp(b_j) loses at most tiny to
             # underflow, even where subnormals are flushed to zero, so a sum of
             # at least m * tiny / eps has lost at most one ulp. Smaller sums mean
@@ -469,10 +468,10 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
             sums[low_s, low_t] = 1.0
             for c in range(0, len(low_s), _ROW_BLOCK):
                 ls, lt = low_s[c : c + _ROW_BLOCK], low_t[c : c + _ROW_BLOCK]
-                z_rows = Z[a + doc[s0 - t0 + lt], ls] @ X_z_T + params.b
+                z_rows = Z[a + doc[s0 + lt], ls] @ X_z_T + params.b
                 shift[ls, lt] = _logsumexp_rows(z_rows + H[s0 + lt] @ X_local_T)
-            picked[:, here] -= np.log(sums) + shift
-        out[a:b] = np.add.reduceat(picked, t_edge[a:b] - t0, axis=1).T
+            picked[:, s0:s1] -= np.log(sums) + shift
+        out[a:b] = np.add.reduceat(picked, edge[:-1], axis=1).T
     return out
 
 

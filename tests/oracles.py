@@ -256,8 +256,12 @@ def dense_batch_elbo_gradients(docs, params, config, eps):
     Every token of the batch gets its own row ``[z, h]`` of decoder input
     and its own full row of logits; the backward pass runs the three
     decoder GEMMs at full width on those T rows and scatters per token.
-    Returns per-document reconstruction and KL arrays and a name -> array
-    dict of the gradients of their difference, summed over the batch.
+    Returns per-document reconstruction and KL arrays, a name -> array
+    dict of the gradients of their difference, summed over the batch, and
+    a dict of the term scales of X, b, c_local and V_local: the same sums
+    over the absolute values of their terms, with ``|dC_local| * H`` in
+    place of dS, since ``1 - H`` cancels where the sigmoid saturates. An
+    entry whose terms cancel can be off by a few eps times its scale.
     """
     d, k = config.d, config.k
     savae = config.mode == "savae"
@@ -282,14 +286,14 @@ def dense_batch_elbo_gradients(docs, params, config, eps):
     dlogits = -np.exp(logp)
     dlogits[rows, targets] += 1.0
     grads = {"X": dlogits.T @ C, "b": dlogits.sum(axis=0)}
+    scales = {"X": np.abs(dlogits).T @ np.abs(C), "b": np.abs(dlogits).sum(axis=0)}
     dC = dlogits @ params.X
     dZ = np.zeros_like(Z)
     for t, i in enumerate(doc_of):
         dZ[i] += dC[t, :d]
-    if savae:
-        H = C[:, d:]
-        dS = dC[:, d:] * H * (1.0 - H)
-        grads["c_local"] = dS.sum(axis=0)
+
+    def local_backward(dS):
+        """The c_local and V_local gradients of the local channel's dS."""
         dV = np.zeros_like(params.V_local)
         t = 0
         for doc in docs:
@@ -297,7 +301,12 @@ def dense_batch_elbo_gradients(docs, params, config, eps):
                 for u in doc.ids[max(0, pos - k) : pos]:
                     dV[u] += dS[t]
                 t += 1
-        grads["V_local"] = dV
+        return dS.sum(axis=0), dV
+
+    if savae:
+        H = C[:, d:]
+        grads["c_local"], grads["V_local"] = local_backward(dC[:, d:] * H * (1.0 - H))
+        scales["c_local"], scales["V_local"] = local_backward(np.abs(dC[:, d:]) * H)
 
     names = ["W_mu", "b_mu", "W_logvar", "b_logvar"]
     for i in range(len(params.enc_W)):
@@ -319,7 +328,7 @@ def dense_batch_elbo_gradients(docs, params, config, eps):
             grads[f"enc_W_{i}"] = grads[f"enc_W_{i}"] + np.outer(q.inputs[i], da)
             grads[f"enc_b_{i}"] = grads[f"enc_b_{i}"] + da
             dh = params.enc_W[i] @ da
-    return recon, kl, grads
+    return recon, kl, grads, scales
 
 
 def prior_sampling_log_likelihoods(ids, params, config, n_samples, rng):

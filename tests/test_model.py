@@ -651,6 +651,26 @@ class TestElbo:
             tracemalloc.stop()
         assert peak < 12e6
 
+    def test_savae_bound_memory_does_not_grow_with_document_count(self):
+        # 48 and 480 documents of 100 tokens at S = 20: each group of 12
+        # documents builds its own local contexts, so the 432 more documents
+        # add only their (N, S, d) draws and packed ids, a few copies of
+        # 0.77 and 0.38 MB; local contexts built over the whole split took
+        # the peak from 2.7 MB at 48 documents to 25.7 MB at 480
+        config = ModelConfig(mode="savae", m=50, d=10, encoder_layers=(8,))
+        params = random_model(config)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (48, 480):
+            docs = [Document(ids=rng.integers(0, config.m, 100).tolist()) for _ in range(n)]
+            tracemalloc.start()
+            try:
+                evaluate_bound(docs, params, config, samples=20)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 5e6
+
     def test_logsumexp_exponentiates_in_place(self):
         # the z parts of that block: the shifted copy takes 3.84 MB, and an
         # array of its exps besides it would take the peak past 7.6 MB
@@ -668,6 +688,12 @@ def _gradient_case(mode, m, k, batch, d=2, seed=0):
     config = ModelConfig(mode=mode, m=m, d=d, k=k, encoder_layers=(4, 3))
     eps = RngStream(seed + 1).normal((len(batch), d))
     return config, random_model(config, seed=seed), [Document(ids=ids) for ids in batch], eps
+
+
+def _two_word_case(seed, *docs):
+    """A savae case at m = 2, k = 1 and d = 1 of documents written as strings of 0s and 1s."""
+    batch = [list(map(int, doc)) for doc in docs]
+    return _gradient_case("savae", m=2, k=1, d=1, seed=seed, batch=batch)
 
 
 @st.composite
@@ -732,17 +758,25 @@ class TestGradients:
     @example(_gradient_case("savae", m=1, k=3, batch=[[0], [0, 0]]))
     @example(_gradient_case("savae", m=7, k=6, batch=[[2], [5, 5, 5, 1, 5], [0, 6]]))
     @example(_gradient_case("nvdm", m=2, k=1, batch=[[1]]))
+    # the whole of b, c_local or V_local cancels to near zero
+    @example(_two_word_case(1416, "100001010111010010", "11101110011010110000"))
+    @example(_two_word_case(2128, "1111010010110000111", "000010010010001110110000"))
+    @example(_two_word_case(2824, "01000101010001110111100111", "100111001010000011011110010"))
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_oracle(self, block, case):
         # blocks of 1, 3 and 7 rows put document boundaries inside and at
         # the edges of blocks. Entries that cancel to near zero carry the
         # rounding of their largest terms, so each array is held to 1e-10
-        # of its largest entry as well as to rtol 1e-10.
+        # of its largest entry as well as to rtol 1e-10. A whole array can
+        # cancel too (b at m = 2 is [x, -x], and 1 - H cancels where the
+        # sigmoid saturates), so b, X, c_local and V_local also get 16 eps
+        # times each entry's term scale; beyond the 1e-10 terms, the worst
+        # error over 3000 random two-word batches was 0.74 eps times it.
         config, params, docs, eps = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_ROW_BLOCK", block)
             estimates, grads = batch_elbo_gradients(docs, params, config, eps)
-        recon, kl, want = dense_batch_elbo_gradients(docs, params, config, eps)
+        recon, kl, want, scale = dense_batch_elbo_gradients(docs, params, config, eps)
         np.testing.assert_allclose([e.reconstruction for e in estimates], recon, rtol=1e-10)
         # the oracle's exp(lv) - 1 carries an absolute error of an ulp of 1
         np.testing.assert_allclose([e.kl for e in estimates], kl, rtol=1e-10, atol=1e-14)
@@ -750,9 +784,11 @@ class TestGradients:
         for name, arr in grads.items():
             ref = want[name]
             assert arr.shape == ref.shape, name
-            np.testing.assert_allclose(
-                arr, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(), err_msg=name
-            )
+            err = np.abs(arr - ref)
+            bound = 1e-10 * (np.abs(ref) + np.abs(ref).max())
+            bound += 16 * np.finfo(float).eps * scale.get(name, 0.0)
+            i = np.argmax(err - bound)  # the worst entry
+            assert err.flat[i] <= bound.flat[i], (name, i, err.flat[i], bound.flat[i])
 
     @pytest.mark.parametrize("mode", ["savae", "nvdm"])
     @pytest.mark.parametrize("present", [4, 7], ids=["restricted", "dense"])
@@ -768,7 +804,7 @@ class TestGradients:
         words = model._encoder_forward(*model._pack(docs), params)[2][0]
         assert (words is None) == (present > config.m * model._RESTRICTED_MAX_SHARE)
         estimates, grads = batch_elbo_gradients(docs, params, config, eps)
-        recon, kl, want = dense_batch_elbo_gradients(docs, params, config, eps)
+        recon, kl, want, _ = dense_batch_elbo_gradients(docs, params, config, eps)
         np.testing.assert_allclose([e.reconstruction for e in estimates], recon, rtol=1e-10)
         np.testing.assert_allclose([e.kl for e in estimates], kl, rtol=1e-10, atol=1e-14)
         for name, arr in grads.items():

@@ -57,7 +57,9 @@ def evaluate_bound(docs, params, config, samples=20, seed=0):
     if not kept:
         raise AllDocumentsEmpty("no non-empty documents to evaluate")
     rng = RngStream(seed)
-    eps = np.stack([rng.substream(i).normal((samples, config.d)) for i in kept])
+    eps = np.empty((len(kept), samples, config.d))
+    for row, i in enumerate(kept):
+        eps[row] = rng.substream(i).normal((samples, config.d))
     estimates = elbo_estimates([docs[i] for i in kept], params, config, eps)
     totals = np.array([est.total for est in estimates])
     words = sum(docs[i].length for i in kept)

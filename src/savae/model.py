@@ -16,12 +16,13 @@ mode). Training and evaluation both use the split:
 
 - Evaluation scores each document under S posterior samples, an (N, S, d)
   draw, on the packed layout that training uses. Groups of
-  ``max(1, _ROW_BLOCK // S)`` documents take their z parts from one GEMM;
-  in savae mode each group builds its own local contexts and runs its
-  positions in training's slices of ``_ROW_BLOCK``, and a document's S x l
-  softmax normalisers come from GEMMs of exponentials, not an (S, l, m)
-  logit tensor. The bound's memory grows with one group's tokens and the
-  (N, S, d) draws, not with the split (see ``_packed_log_likelihoods``).
+  ``max(1, _ROW_BLOCK // S)`` documents form their z from their posterior
+  means, sds and draws and take their z parts from one GEMM; in savae
+  mode each group builds its own local contexts and runs its positions
+  in training's slices of ``_ROW_BLOCK``, and a document's S x l softmax
+  normalisers come from GEMMs of exponentials, not an (S, l, m) logit
+  tensor. The bound's memory grows with one group's tokens and the one
+  (N, S, d) draw array, not with the split (see ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
@@ -260,7 +261,7 @@ def _restricted_words(ids, m):
 def _encoder_forward(ids, lengths, params):
     """MLP forward over the word counts of B packed documents.
 
-    Returns mu, log_var (each (B, d)) and the caches ``(words, acts, pre)``.
+    Returns mu, log_var (each (B, d)) and the caches ``(words, acts)``.
     When the documents' distinct words U number at most
     ``_RESTRICTED_MAX_SHARE`` of m, the first layer is
     ``counts_U @ enc_W_0[U] + b`` over their (B, |U|) counts, ``words`` is
@@ -279,16 +280,14 @@ def _encoder_forward(ids, lengths, params):
         counts = _packed_counts(ids, lengths, m)
         weights = params.enc_W
     acts = [counts]
-    pre = []
     h = counts
     for W, b in zip(weights, params.enc_b):
         a = h @ W + b
-        pre.append(a)
         h = relu(a)
         acts.append(h)
     mu = h @ params.W_mu + params.b_mu
     log_var = h @ params.W_logvar + params.b_logvar
-    return mu, log_var, (words, acts, pre)
+    return mu, log_var, (words, acts)
 
 
 def _posterior_sd(log_var, context=""):
@@ -382,16 +381,19 @@ def _bag_of_words_log_likelihoods(logits, counts, length):
     return np.vecdot(logits, counts) - length * lse, lse
 
 
-def _packed_log_likelihoods(ids, lengths, Z, params, config):
-    """log p(doc | z), shape (N, S), for the S rows of ``Z[i]`` (shape
-    (N, S, d)) of each of N concatenated documents.
+def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
+    """log p(doc | z), shape (N, S), of each of N concatenated documents
+    under its S draws ``z = mu[i] + sd[i] * eps[i, s]``; ``mu`` and ``sd``
+    are (N, d), ``eps`` is (N, S, d).
 
     ``ids`` holds documents of ``lengths`` tokens back to back. Documents
     are scored in groups of ``max(1, _ROW_BLOCK // S)`` consecutive ones,
-    each with its own local contexts and its positions in slices of
+    each with its own draws Z, formed from its rows of ``mu``, ``sd`` and
+    ``eps``, its own local contexts and its positions in slices of
     ``_ROW_BLOCK``, as a training batch runs; a row's last bits can change
     with the other documents of its group. No m-wide array has more than
-    ``max(S, _ROW_BLOCK)`` rows, however long a document is.
+    ``max(S, _ROW_BLOCK)`` rows, however long a document is, and no array
+    of the draws other than ``eps`` spans the split.
 
     In savae mode every logit splits into a sample part and a position
     part, ``logits[s, t] = z_part[s] + pos_part[t]`` with
@@ -416,7 +418,7 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     m, d = config.m, config.d
-    N, S = Z.shape[:2]
+    N, S = eps.shape[:2]
     t_edge = np.concatenate([[0], np.cumsum(lengths)])  # document i spans t_edge[i : i + 2]
     per_group = max(1, _ROW_BLOCK // S)
     # the GEMMs run faster on a contiguous copy of X^T
@@ -433,7 +435,8 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
         nb = b - a
         targets = ids[t_edge[a] : t_edge[b]]
         edge = t_edge[a : b + 1] - t_edge[a]  # the group's document j spans edge[j : j + 2]
-        z_part = np.matmul(Z[a:b].reshape(nb * S, d), X_z_T, out=z_part_buf[: nb * S])
+        Z = mu[a:b, None] + sd[a:b, None] * eps[a:b]  # (nb, S, d)
+        z_part = np.matmul(Z.reshape(nb * S, d), X_z_T, out=z_part_buf[: nb * S])
         z_part += params.b  # rows * m adds here, positions * m on pos_part
         if config.mode == NVDM:
             counts = _packed_counts(targets, lengths[a:b], m)
@@ -468,7 +471,7 @@ def _packed_log_likelihoods(ids, lengths, Z, params, config):
             sums[low_s, low_t] = 1.0
             for c in range(0, len(low_s), _ROW_BLOCK):
                 ls, lt = low_s[c : c + _ROW_BLOCK], low_t[c : c + _ROW_BLOCK]
-                z_rows = Z[a + doc[s0 + lt], ls] @ X_z_T + params.b
+                z_rows = Z[doc[s0 + lt], ls] @ X_z_T + params.b
                 shift[ls, lt] = _logsumexp_rows(z_rows + H[s0 + lt] @ X_local_T)
             picked[:, s0:s1] -= np.log(sums) + shift
         out[a:b] = np.add.reduceat(picked, edge[:-1], axis=1).T
@@ -494,8 +497,7 @@ def elbo_estimates(docs, params, config, eps):
     mu, log_var = _encode_packed(ids, lengths, params, config)
     sd = _posterior_sd(log_var, context="evaluation")
     kl = kl_standard_normal(mu, log_var)
-    Z = mu[:, None] + sd[:, None] * eps
-    ll = _packed_log_likelihoods(ids, lengths, Z, params, config)
+    ll = _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config)
     return [ElboEstimate(float(r), float(kl_i)) for r, kl_i in zip(ll.mean(axis=1), kl)]
 
 
@@ -604,7 +606,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     eps = np.asarray(eps, dtype=np.float64)
 
     targets, lengths = _pack(docs)
-    mu, log_var, (words, acts, pre) = _encoder_forward(targets, lengths, params)
+    mu, log_var, (words, acts) = _encoder_forward(targets, lengths, params)
     sd = _posterior_sd(log_var)
     Z = mu + sd * eps  # (B, d)
 
@@ -638,7 +640,7 @@ def batch_elbo_gradients(docs, params, config, eps):
 
     dh = dmu @ params.W_mu.T + dlog_var @ params.W_logvar.T
     for i in range(len(params.enc_W) - 1, -1, -1):
-        da = dh * (pre[i] > 0)
+        da = dh * (acts[i + 1] > 0)  # relu(x) > 0 exactly where x > 0
         grads[f"enc_W_{i}"] = acts[i].T @ da
         grads[f"enc_b_{i}"] = da.sum(axis=0)
         if i > 0:

@@ -70,54 +70,36 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter.
-
-    Also holds what ``adam_step`` streams the parameters through: each
-    parameter's blocks of at most ``ADAM_BLOCK`` entries, each paired with
-    views of two float scratch buffers, allocated once.
-    """
+    """First/second moment estimates per parameter plus the step counter,
+    and the two float scratch buffers of at most ``ADAM_BLOCK`` entries
+    that ``adam_step`` streams the parameters through, allocated once."""
 
     def __init__(self, named_arrays):
         self.m = {name: np.zeros(arr.shape) for name, arr in named_arrays.items()}
         self.v = {name: np.zeros(arr.shape) for name, arr in named_arrays.items()}
         self.t = 0
         size = min(ADAM_BLOCK, max((arr.size for arr in self.m.values()), default=0))
-        scratch = (np.empty(size), np.empty(size))
-        self.blocks = {}
-        for name, m in self.m.items():
-            self.blocks[name] = []
-            for index in _block_indices(m.shape):
-                shape = m[index].shape
-                views = tuple(buf[: math.prod(shape)].reshape(shape) for buf in scratch)
-                self.blocks[name].append((index,) + views)
-
-
-def _block_indices(shape):
-    """Basic-slice indices that tile an array of ``shape`` in C order.
-
-    Each covers at most ``ADAM_BLOCK`` entries: whole leading-axis rows
-    where a row fits, otherwise the blocks of each row in turn.
-    """
-    row = math.prod(shape[1:])
-    if row <= ADAM_BLOCK:
-        step = ADAM_BLOCK // max(row, 1)
-        return [(slice(i, i + step),) for i in range(0, shape[0], step)]
-    return [(i,) + rest for i in range(shape[0]) for rest in _block_indices(shape[1:])]
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def adam_step(named_params, grads, state, learning_rate, batch_size=1):
     """One Adam ascent step, in place on the parameter arrays.
 
     ``grads`` are sums over ``batch_size`` examples; the step uses their
-    mean. Each parameter is streamed through ``state``'s blocks with the
-    elementwise operations of the plain formula, in its order, so the
-    result has the same bits and the step allocates no full-size array.
-    A gradient entry that is not finite, or whose magnitude exceeds
-    ``ADAM_GRAD_LIMIT``, raises before any parameter or moment changes.
+    mean. Each parameter, which must be C-contiguous, is streamed through
+    blocks of ``ADAM_BLOCK`` entries of its flat view with the elementwise
+    operations of the plain formula, in its order, so the result has the
+    same bits and the step allocates no full-size array. A gradient entry
+    that is not finite, or whose magnitude exceeds ``ADAM_GRAD_LIMIT``,
+    raises ``NonFiniteGradient``, and a parameter that is not C-contiguous
+    ``ValueError``, before any parameter or moment changes.
     """
     for name, g in grads.items():
-        for index, _, _ in state.blocks[name]:
-            gb = g[index]
+        if not named_params[name].flags.c_contiguous:
+            raise ValueError(f"parameter '{name}' is not C-contiguous")
+        g = g.reshape(-1)
+        for i in range(0, g.size, ADAM_BLOCK):
+            gb = g[i : i + ADAM_BLOCK]
             # NaN fails both comparisons
             if not (gb.min() >= -ADAM_GRAD_LIMIT and gb.max() <= ADAM_GRAD_LIMIT):
                 raise NonFiniteGradient(
@@ -130,10 +112,13 @@ def adam_step(named_params, grads, state, learning_rate, batch_size=1):
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, theta in named_params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        for index, a, b in state.blocks[name]:
-            mb, vb = m[index], v[index]
-            np.divide(g[index], batch_size, out=a)
+        arrays = (theta, grads[name], state.m[name], state.v[name])
+        theta, g, m, v = (arr.reshape(-1) for arr in arrays)
+        for i in range(0, theta.size, ADAM_BLOCK):
+            block = slice(i, i + ADAM_BLOCK)
+            tb, gb, mb, vb = theta[block], g[block], m[block], v[block]
+            a, b = state.scratch[0][: gb.size], state.scratch[1][: gb.size]
+            np.divide(gb, batch_size, out=a)
             mb *= ADAM_BETA1
             mb += np.multiply(1.0 - ADAM_BETA1, a, out=b)
             vb *= ADAM_BETA2
@@ -145,7 +130,6 @@ def adam_step(named_params, grads, state, learning_rate, batch_size=1):
             np.sqrt(b, out=b)
             b += ADAM_EPS
             a /= b
-            tb = theta[index]
             tb += a
 
 

@@ -154,8 +154,10 @@ def mc_kl_standard_normal(mu, log_var, n_samples, rng):
 
 
 def doc_log_likelihoods(ids, Z, params, config):
-    """log p(doc | z) for each row z of Z, from ``model._packed_log_likelihoods``."""
-    return model._packed_log_likelihoods(ids, [len(ids)], Z[None], params, config)[0]
+    """log p(doc | z) for each row z of Z, from ``model._packed_log_likelihoods``
+    with a zero posterior mean and unit sd, whose draws are then Z itself."""
+    mu, sd = np.zeros((1, config.d)), np.ones((1, config.d))
+    return model._packed_log_likelihoods(ids, [len(ids)], mu, sd, Z[None], params, config)[0]
 
 
 def naive_doc_log_likelihoods(ids, Z, params, config):

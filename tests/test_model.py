@@ -172,7 +172,7 @@ class TestEncode:
         block = model._ENCODER_BLOCK
         for i, kind in enumerate(kinds):  # each block on the side of the rule it was built for
             ids, lengths = model._pack(docs[i * block : (i + 1) * block])
-            words, _, _ = model._encoder_forward(ids, lengths, params)[2]
+            words, _ = model._encoder_forward(ids, lengths, params)[2]
             assert (words is None) == (kind == "all"), kind
         calls = []
         forward = model._encoder_forward
@@ -467,7 +467,8 @@ class TestFactoredLikelihood:
 
         monkeypatch.setattr(model, "_logsumexp_rows", spy)
         ours = model._packed_log_likelihoods(
-            np.concatenate(docs), [len(ids) for ids in docs], Z.reshape(3, 2, 1), params, config
+            np.concatenate(docs), [len(ids) for ids in docs], np.zeros((3, 1)), np.ones((3, 1)),
+            Z.reshape(3, 2, 1), params, config,
         ).ravel()
         assert direct_rows == [len(docs[1])]  # the second document's sample 0 only
         theirs = np.concatenate(
@@ -670,6 +671,26 @@ class TestElbo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 5e6
+
+    def test_bound_holds_its_draws_about_once(self):
+        # each added document brings its (S, d) draw, 8 kB at S = 20, d = 50,
+        # and a little more (its ids, mu, sd): 1.21 draws per document, where
+        # a list of the draws stacked into an array and a split-wide Z beside
+        # them took 3.11
+        config = ModelConfig(mode="savae", m=50, d=50, encoder_layers=(8,))
+        params = random_model(config)
+        rng = np.random.default_rng(0)
+        samples, counts, peaks = 20, (100, 800), []
+        for n in counts:
+            docs = [Document(ids=rng.integers(0, config.m, 30).tolist()) for _ in range(n)]
+            tracemalloc.start()
+            try:
+                evaluate_bound(docs, params, config, samples=samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_doc = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+        assert per_doc < 1.5 * samples * config.d * 8
 
     def test_logsumexp_exponentiates_in_place(self):
         # the z parts of that block: the shifted copy takes 3.84 MB, and an

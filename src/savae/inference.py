@@ -56,10 +56,7 @@ def evaluate_bound(docs, params, config, samples=20, seed=0):
     kept = [i for i, doc in enumerate(docs) if not doc.is_empty]
     if not kept:
         raise AllDocumentsEmpty("no non-empty documents to evaluate")
-    rng = RngStream(seed)
-    eps = np.empty((len(kept), samples, config.d))
-    for row, i in enumerate(kept):
-        eps[row] = rng.substream(i).normal((samples, config.d))
+    eps = RngStream(seed).substream_normals(kept, (samples, config.d))
     estimates = elbo_estimates([docs[i] for i in kept], params, config, eps)
     totals = np.array([est.total for est in estimates])
     words = sum(docs[i].length for i in kept)

@@ -30,6 +30,12 @@ mode). Training and evaluation both use the split:
 - In nvdm mode the position part is absent, so both go through word
   counts (``_bag_of_words_log_likelihoods``) and are exactly invariant to the order
   of a document's words.
+- Every softmax normaliser shifts a row by its exact maximum. One helper,
+  ``_exp_rows_in_place``, exponentiates rows in place in cache-sized
+  blocks: the bound's z and position parts in savae mode, and through
+  ``_logsumexp_rows`` its nvdm z parts, whose count dot products come
+  first, so no group copies its z parts. nvdm training hands it a copy of
+  its (B, m) z parts, which its gradients read afterwards.
 
 Training, evaluation and representation share the packed layout and one
 encoder forward (``_encoder_forward``); training and evaluation also share
@@ -88,6 +94,14 @@ _ENCODER_BLOCK = 64
 # plus backward took 5.1 against 6.9 ms at 0.5, broke even at 0.65-0.7
 # and took 11.3 against 6.8 ms at 0.8, where news blocks lie.
 _RESTRICTED_MAX_SHARE = 0.5
+
+# rows per block of _exp_rows_in_place: at m = 2000 a block of 32 rows is
+# 512 kB, inside a core's 2 MB L2 on a 2-vCPU Xeon VM, so its exp pass
+# rereads what its max pass left there. There, with one BLAS thread, a
+# (240, 2000) log-sum-exp took 1.47-1.52 ms in blocks of 32, 1.54-1.58 in
+# blocks of 16, 1.67-1.72 in blocks of 8 and 1.78-1.82 with the whole
+# array's max, copy and exp.
+_EXP_ROWS = 32
 
 # exp and expm1 overflow above this argument
 _LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
@@ -364,21 +378,38 @@ def _local_contexts(ids, lengths, params, config):
     return sigmoid(summed + params.c_local), source
 
 
+def _exp_rows_in_place(rows):
+    """Overwrite each row of the C-contiguous 2-D ``rows`` with
+    ``exp(row - max(row))``, ``_EXP_ROWS`` rows at a time, and return the
+    row maxima."""
+    maxima = np.empty(len(rows))
+    for r0 in range(0, len(rows), _EXP_ROWS):
+        block, shift = rows[r0 : r0 + _EXP_ROWS], maxima[r0 : r0 + _EXP_ROWS]
+        np.max(block, axis=1, out=shift)
+        np.exp(np.subtract(block, shift[:, None], out=block), out=block)
+    return maxima
+
+
 def _logsumexp_rows(logits):
-    """Stable log-sum-exp along the last axis."""
-    shift = logits.max(axis=-1, keepdims=True)
-    e = logits - shift
-    return np.log(np.exp(e, out=e).sum(axis=-1)) + shift[..., 0]
+    """Stable log-sum-exp along the last axis of the C-contiguous ``logits``,
+    which it overwrites with their exps, each row shifted by its maximum."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    shift = _exp_rows_in_place(rows)
+    return (np.log(rows.sum(axis=1)) + shift).reshape(logits.shape[:-1])
 
 
 def _bag_of_words_log_likelihoods(logits, counts, length):
     """nvdm log-likelihoods of the rows of ``logits``, and their log-sum-exps.
 
     Every position of a document shares the logits of its row, so
-    ``log p = counts . logits - length * lse(logits)``.
+    ``log p = counts . logits - length * lse(logits)``. The count dot
+    products come first; then ``_logsumexp_rows`` overwrites ``logits``
+    with their shifted exps, so a caller that reads them later passes a
+    copy.
     """
+    dots = np.vecdot(logits, counts)
     lse = _logsumexp_rows(logits)
-    return np.vecdot(logits, counts) - length * lse, lse
+    return dots - length * lse, lse
 
 
 def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
@@ -404,7 +435,8 @@ def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
             = (exp(z_part - zmax) @ exp(pos_part - pmax).T)[s, t]:
 
     a group takes its z parts from one GEMM and a slice its position parts
-    from another, each exponentiated in place, and each piece of a document
+    from another, each exponentiated in place by ``_exp_rows_in_place``
+    (which overwrites them), and each piece of a document
     in a slice takes its S x l softmax normalisers from one (S, m) x (m, l)
     GEMM; the (S, l, m) logits are never formed. The shared shifts can
     underflow the product for a pair whose two argmaxes disagree by
@@ -413,7 +445,9 @@ def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
 
     In nvdm mode the position dimension collapses, so the likelihood
     accumulates through word counts; this makes the result exactly
-    invariant to permutations of a document's ids.
+    invariant to permutations of a document's ids. A group's z parts are
+    overwritten by ``_bag_of_words_log_likelihoods``, so the group makes
+    no copy of them.
     """
     ids = np.asarray(ids, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -448,14 +482,12 @@ def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
         doc = np.repeat(np.arange(nb), lengths[a:b])  # the group's document of each position
         # the (S, positions) picked logits, gathered before both parts become their exps
         picked = z_part.reshape(nb, S, m)[doc, :, targets].T
-        zmax = z_part.max(axis=1)
-        np.exp(np.subtract(z_part, zmax[:, None], out=z_part), out=z_part)
+        zmax = _exp_rows_in_place(z_part)
         for s0 in range(0, len(targets), _ROW_BLOCK):
             s1 = min(s0 + _ROW_BLOCK, len(targets))
             pos_part = np.matmul(H[s0:s1], X_local_T, out=pos_part_buf[: s1 - s0])
             picked[:, s0:s1] += pos_part[np.arange(s1 - s0), targets[s0:s1]]
-            pmax = pos_part.max(axis=1)
-            np.exp(np.subtract(pos_part, pmax[:, None], out=pos_part), out=pos_part)
+            pmax = _exp_rows_in_place(pos_part)
             sums = np.empty((S, s1 - s0))
             cut = np.clip(edge, s0, s1) - s0  # document j's piece: cut[j : j + 2]
             for j in range(doc[s0], doc[s1 - 1] + 1):
@@ -620,7 +652,7 @@ def batch_elbo_gradients(docs, params, config, eps):
     else:
         # a dense encoder block already holds the (B, m) counts
         counts = acts[0] if words is None else _packed_counts(targets, lengths, m)
-        recon, lse = _bag_of_words_log_likelihoods(zl, counts, lengths)
+        recon, lse = _bag_of_words_log_likelihoods(zl.copy(), counts, lengths)
         G = counts - lengths[:, None] * np.exp(zl - lse[:, None])
         grads["X"] = G.T @ Z
     grads["b"] = G.sum(axis=0)

@@ -479,6 +479,41 @@ class TestFactoredLikelihood:
         assert ours[2] == pytest.approx(-len(docs[1]) * np.log(2.0), rel=1e-15)
 
 
+def _shifted_exps_and_logsumexp(logits):
+    """The row maxima, the shifted exps and the log-sum-exps of ``logits``
+    as one whole-array max, shifted copy, exp, sum and log compute them."""
+    shift = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    return shift[..., 0], e, np.log(e.sum(axis=-1)) + shift[..., 0]
+
+
+class TestRowExps:
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (5, 3), (model._EXP_ROWS, 2000), (77, 2000), (3, 70001), (12, 20, 2000),
+         (2, 3 * model._EXP_ROWS // 2 + 1, 7)],
+        ids=["m-1", "few-narrow-rows", "one-block", "uneven-blocks", "rows-wider-than-a-block",
+             "3-d", "3-d-uneven"],
+    )
+    def test_match_the_whole_array_formula_bitwise(self, shape):
+        # row 0 is all equal: its exps are all 1, and at m = 1 its lse is its
+        # one logit exactly, so log p = 0 there
+        logits = np.random.default_rng(len(shape)).normal(scale=30.0, size=shape)
+        logits.reshape(-1, shape[-1])[0] = 4.25
+        want_max, want_exps, want_lse = _shifted_exps_and_logsumexp(logits)
+        rows = logits.reshape(-1, shape[-1]).copy()
+        got_max = model._exp_rows_in_place(rows)
+        assert got_max.tobytes() == want_max.tobytes()
+        assert rows.tobytes() == want_exps.tobytes()
+        inplace = logits.copy()
+        got_lse = model._logsumexp_rows(inplace)
+        assert got_lse.shape == shape[:-1]
+        assert got_lse.tobytes() == want_lse.tobytes()
+        assert inplace.tobytes() == want_exps.tobytes()  # overwritten with the exps
+        if shape[-1] == 1:
+            assert (got_lse == logits[..., 0]).all()
+
+
 @st.composite
 def document_lists(draw):
     """(config, params, docs, samples, seed) in either mode: up to 30 short
@@ -617,10 +652,10 @@ class TestElbo:
         with pytest.raises(ValueError, match="^samples must be >= 1$"):
             elbo(Document(ids=[0, 1]), random_model(cfg), cfg, RngStream(0), samples=0)
 
-    def test_nvdm_bound_block_repeats_no_counts(self):
-        # one group of 12 documents of 20 tokens and S = 20, so 240 z rows:
-        # z parts, their shifted copy and its exps take 3.84 MB each, and a
-        # per-row copy of the (12, m) counts would be a fourth
+    @staticmethod
+    def _nvdm_group_peak():
+        """The traced peak of the bound of one nvdm group of 12 documents of
+        20 tokens at S = 20 and m = 2000, so 240 z rows of 3.84 MB."""
         config = ModelConfig(mode="nvdm", m=2000, d=10, encoder_layers=(8,))
         params = random_model(config)
         rng = np.random.default_rng(0)
@@ -630,10 +665,20 @@ class TestElbo:
         tracemalloc.start()
         try:
             elbo_estimates(docs, params, config, eps)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13e6
+
+    def test_nvdm_bound_block_repeats_no_counts(self):
+        # z parts, their shifted copy and its exps take 3.84 MB each, and a
+        # per-row copy of the (12, m) counts would be a fourth
+        assert self._nvdm_group_peak() < 13e6
+
+    def test_nvdm_bound_group_copies_no_z_parts(self):
+        # a shifted copy of the z parts for the log-sum-exp took the peak to
+        # 8.1 MB; the count dot products run first, then the log-sum-exp in
+        # place
+        assert self._nvdm_group_peak() < 1.5 * 240 * 2000 * 8
 
     def test_savae_bound_memory_does_not_grow_with_document_length(self):
         # one 4000-token document at S = 20: its position parts run in

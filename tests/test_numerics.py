@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import log_softmax, mc_kl_standard_normal, sample_reparameterized
+from savae import numerics
 from savae.numerics import RngStream, kl_standard_normal, relu, sigmoid
 
 finite_vectors = hnp.arrays(
@@ -168,6 +169,28 @@ class TestRngStream:
         a = base.substream(1, 2).uniform((50,))
         b = base.substream(2, 1).uniform((50,))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [7, 2**63 + 5])
+    @pytest.mark.parametrize(
+        "ids,shape",
+        [
+            ([0, 2, 3, 7, 8], (20, 50)),
+            ([1, 4, 5], (3, 3)),
+            (list(range(1, 5 * numerics._NORMALS_CHUNK // 2, 2)), (2, 5)),
+            ([], (20, 50)),
+        ],
+        ids=["gaps", "odd", "chunks", "none"],
+    )
+    def test_substream_normals_are_the_per_id_draws(self, seed, ids, shape):
+        # ids with gaps, as the empty documents of a split leave; an odd S*d,
+        # whose last sine is dropped; more ids than one chunk, and none. Half
+        # the substream keys, and at seed 2^63 + 5 all, are at least 2^63,
+        # where Philox builds its key through float64
+        rng = RngStream(seed)
+        want = [rng.substream(i).normal(shape) for i in ids]
+        got = rng.substream_normals(ids, shape)
+        assert got.shape == (len(ids), *shape) and got.dtype == np.float64
+        assert got.tobytes() == b"".join(w.tobytes() for w in want)
 
     def test_normal_statistics(self):
         z = RngStream(9).normal((10**6,))

@@ -49,14 +49,16 @@ def represent_batch(docs, params, config):
 
 
 def evaluate_bound(docs, params, config, samples=20, seed=0):
-    """(mean per-document ELBO total, perplexity) over non-empty docs; doc i
-    of ``docs``, empty ones counted, draws its eps from ``substream(i)``."""
+    """(mean per-document ELBO total, perplexity) over non-empty docs. The
+    k-th non-empty document takes row k of one
+    ``RngStream(seed).substream(0).normal((N, samples, d))`` draw, so a
+    document alone draws what ``model.elbo`` draws from that substream."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     kept = [i for i, doc in enumerate(docs) if not doc.is_empty]
     if not kept:
         raise AllDocumentsEmpty("no non-empty documents to evaluate")
-    eps = RngStream(seed).substream_normals(kept, (samples, config.d))
+    eps = RngStream(seed).substream(0).normal((len(kept), samples, config.d))
     estimates = elbo_estimates([docs[i] for i in kept], params, config, eps)
     totals = np.array([est.total for est in estimates])
     words = sum(docs[i].length for i in kept)

@@ -575,9 +575,7 @@ def _local_softmax_blocks(zl, H, X_local, targets, lengths):
         W[d : d + n_docs] = zl[first : first + n_docs]
         block = np.matmul(C, W[: d + n_docs], out=buf[: stop - start])
         picked = block[rows, targets[start:stop]]
-        shift = block.max(axis=1)
-        block -= shift[:, None]
-        np.exp(block, out=block)
+        shift = _exp_rows_in_place(block)
         sums = block.sum(axis=1)
         logp[start:stop] = picked - shift - np.log(sums)
         block *= (-1.0 / sums)[:, None]

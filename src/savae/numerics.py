@@ -4,9 +4,9 @@ against a standard normal, perplexity, and a portable seeded RNG.
 All arrays are 64-bit floats. The RNG is built on the Philox 4x64
 counter-based generator so that a given seed reproduces the same stream
 bit-for-bit on every platform; normal draws use Box-Muller on top of the
-uniform stream instead of the host library's ziggurat sampler.
-``RngStream.substream_normals`` draws the normals of many substreams at
-once, with the bits that each substream's own ``normal`` gives.
+uniform stream instead of the host library's ziggurat sampler, one row
+of the last axis at a time, so that the first r rows of an (R, ..., n)
+draw are the (r, ..., n) draw of the same stream.
 """
 
 import numpy as np
@@ -27,13 +27,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _U53 = 1.0 / (1 << 53)
 
 
-# ids per Box-Muller of RngStream.substream_normals. On a 2-vCPU Xeon VM,
-# 300 draws of (20, 50) took 10.7 ms in chunks of 32 ids, 11.4 in chunks of
-# 64, 13.9 in chunks of 128 and 17.1 in one chunk, against 20.2 drawn one id
-# at a time. One Box-Muller over all ids held 35 kB per (20, 50) draw at
-# its peak, the draw's 8 kB and its temporaries; chunks of 32 hold at most
-# 1.8 MB of temporaries whatever their number.
-_NORMALS_CHUNK = 32
+# values per Box-Muller of RngStream.normal, rounded down to whole rows (one
+# row at least). On a 2-vCPU Xeon VM, one BLAS thread, a (300, 20, 50) draw
+# took 9.1 ms in chunks of 8192 values, 9.2 in 16384, 10.1 in 4096, 16.0 in
+# 2048 and 9.2 in one chunk; a (1600, 20, 50) draw took 50 ms in 8192 and
+# 66 in one chunk. A chunk of 8192 holds 263 kB of temporaries.
+_NORMALS_CHUNK = 8192
 
 
 def _fold(key, ids):
@@ -41,22 +40,6 @@ def _fold(key, ids):
     for i in ids:
         key = (key * _MIX_MULT + (int(i) & _MASK64) + 1) & _MASK64
     return key
-
-
-def _box_muller(raw, out):
-    """Fill each row of the (R, n) ``out`` with the standard normals that
-    Box-Muller makes of that row of the (R, 2 * ((n + 1) // 2)) raw Philox
-    draws: the cosine halves first, then the sine halves, the last sine
-    dropped when n is odd."""
-    pairs = raw.shape[1] // 2
-    n = out.shape[1]
-    # u1 in (0, 1] so the log is finite
-    u1 = ((raw[:, :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-    u2 = (raw[:, pairs:] >> np.uint64(11)).astype(np.float64) * _U53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    np.multiply(r, np.cos(theta), out=out[:, :pairs])
-    np.multiply(r[:, : n - pairs], np.sin(theta)[:, : n - pairs], out=out[:, pairs:])
 
 
 class RngStream:
@@ -71,50 +54,39 @@ class RngStream:
     def __init__(self, seed, _key=None):
         self.seed = int(seed)
         self._key = self.seed & _MASK64 if _key is None else _key
-        self._bg = np.random.Philox(key=[self.seed & _MASK64, self._key])
+        key = np.array([self.seed & _MASK64, self._key], dtype=np.uint64)
+        self._bg = np.random.Philox(key=key)
 
     def substream(self, *ids):
         return RngStream(self.seed, _key=_fold(self._key, ids))
 
-    def _raw(self, n):
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        return np.asarray(self._bg.random_raw(n), dtype=np.uint64)
-
     def uniform(self, shape=()):
         """Uniform doubles in [0, 1)."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53
+        u = (self._bg.random_raw(n) >> np.uint64(11)).astype(np.float64) * _U53
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape=()):
-        """Standard normal draws via Box-Muller."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        z = np.empty((1, n))
-        _box_muller(self._raw(2 * ((n + 1) // 2))[None], z)
+        """Standard normal draws via Box-Muller, row by row along the last
+        axis. A row of n values takes the next 2 * ((n + 1) // 2) raw draws
+        of the stream, so it does not depend on the rows after it; the first
+        half of them make its cosine values, the second half its sine
+        values, the last sine dropped when n is odd."""
+        n = shape[-1] if shape else 1
+        z = np.empty((int(np.prod(shape[:-1], dtype=np.int64)), n))
+        pairs = (n + 1) // 2
+        step = max(1, _NORMALS_CHUNK // max(2 * pairs, 1))
+        for r0 in range(0, len(z), step):
+            rows = z[r0 : r0 + step]
+            raw = self._bg.random_raw(len(rows) * 2 * pairs).reshape(len(rows), 2 * pairs)
+            # u1 in (0, 1] so the log is finite
+            u1 = ((raw[:, :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+            u2 = (raw[:, pairs:] >> np.uint64(11)).astype(np.float64) * _U53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            np.multiply(r, np.cos(theta), out=rows[:, :pairs])
+            np.multiply(r[:, : n - pairs], np.sin(theta)[:, : n - pairs], out=rows[:, pairs:])
         return z.reshape(shape) if shape else float(z[0, 0])
-
-    def substream_normals(self, ids, shape):
-        """``np.stack([self.substream(i).normal(shape) for i in ids])`` bit for
-        bit, as one (len(ids), *shape) array. One Philox serves every id, its
-        key reset per id, and one Box-Muller serves ``_NORMALS_CHUNK`` ids."""
-        n = int(np.prod(shape, dtype=np.int64))
-        out = np.empty((len(ids), n))
-        width = 2 * ((n + 1) // 2)
-        bg = np.random.Philox(0)
-        state = bg.state  # a fresh state, zero counter and empty buffer; its key is set per id
-        raw = np.empty((min(_NORMALS_CHUNK, len(ids)), width), dtype=np.uint64)
-        for c0 in range(0, len(ids), _NORMALS_CHUNK):
-            chunk = ids[c0 : c0 + _NORMALS_CHUNK]
-            for row, i in enumerate(chunk):
-                # the key array as Philox(key=[...]) builds it, through float64
-                # when an entry is at least 2^63
-                key = [self.seed & _MASK64, _fold(self._key, (i,))]
-                state["state"]["key"] = np.asarray(key).astype(np.uint64)
-                bg.state = state
-                raw[row] = bg.random_raw(width)
-            _box_muller(raw[: len(chunk)], out[c0 : c0 + len(chunk)])
-        return out.reshape((len(ids), *shape))
 
     def permutation(self, n):
         """Fisher-Yates permutation of range(n), driven by the uniform stream."""

@@ -188,6 +188,14 @@ class TestPipeline:
         ).read_bytes()
         capsys.readouterr()
 
+    def test_train_takes_a_negative_seed(self, tmp_path, fitted, capsys):
+        # seed -1 keys its streams as 2^64 - 1, whole and without a warning
+        assert run(["--out", tmp_path / "t", "train", "--corpus", fitted / "pre" / "corpus.savc",
+                    "--mode", "nvdm", "--d", 2, "--epochs", 2, "--batch-size", 4,
+                    "--seed", -1]) == 0
+        assert (tmp_path / "t" / "model.savm").exists()
+        capsys.readouterr()
+
     def test_checkpoint_every_0_writes_no_checkpoint(self, tmp_path, fitted, capsys):
         (tmp_path / "run.cfg").write_text("train.checkpoint_every=0\n")
         assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path / "t", "train",

@@ -22,7 +22,7 @@ from savae.inference import (
     represent_batch,
     write_representations,
 )
-from savae.model import ElboEstimate, ModelConfig
+from savae.model import ElboEstimate, ModelConfig, elbo
 from savae.numerics import RngStream
 
 
@@ -181,12 +181,12 @@ class TestEvaluateBound:
     @settings(max_examples=10, deadline=None)
     def test_matches_naive_oracle(self, case, samples, seed):
         config, params, docs = case
+        kept = [doc for doc in docs if not doc.is_empty]
+        # the k-th non-empty document takes row k of one draw
+        draws = RngStream(seed).substream(0).normal((len(kept), samples, config.d))
         totals, words = [], 0
-        for i, doc in enumerate(docs):
-            if doc.is_empty:
-                continue
+        for doc, eps in zip(kept, draws):
             q = encoder_posterior(doc.ids, params)
-            eps = RngStream(seed).substream(i).normal((samples, config.d))
             Z = q.mu + np.exp(0.5 * q.log_var) * eps
             ll = naive_doc_log_likelihoods(doc.ids, Z, params, config)
             kl = 0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
@@ -198,6 +198,29 @@ class TestEvaluateBound:
         with np.errstate(over="ignore"):
             want_perp = np.exp(-np.sum(totals) / words)
         assert perp == pytest.approx(want_perp, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["savae", "nvdm"])
+    def test_one_document_draws_what_elbo_draws(self, mode):
+        cfg = tiny_config(mode)
+        params = random_model(cfg, seed=5)
+        doc = Document(ids=[0, 2, 4, 1, 3])
+        mean_total, _ = evaluate_bound([Document(ids=[]), doc], params, cfg, samples=7, seed=0)
+        assert mean_total == elbo(doc, params, cfg, RngStream(0).substream(0), 7).total
+
+    def test_draws_through_rng_stream_normal(self, monkeypatch):
+        # the benchmark's tracer counts the draws by wrapping this attribute
+        calls = []
+        normal = RngStream.normal
+
+        def counting(self, shape=()):
+            calls.append(shape)
+            return normal(self, shape)
+
+        monkeypatch.setattr(RngStream, "normal", counting)
+        cfg = tiny_config()
+        docs = [Document(ids=[0, 1]), Document(ids=[]), Document(ids=[2, 3, 4])]
+        evaluate_bound(docs, random_model(cfg), cfg, samples=3)
+        assert calls == [(2, 3, cfg.d)]
 
     def test_multisample_mean_not_below_single_sample(self):
         cfg = tiny_config()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,8 +150,9 @@ class TestRngStream:
     @pytest.mark.parametrize("draw", ["normal", "uniform"])
     def test_empty_draw(self, draw):
         rng = RngStream(3)
-        empty = getattr(rng, draw)((0, 4))
-        assert empty.shape == (0, 4) and empty.dtype == np.float64
+        for shape in [(0, 4), (4, 0), (3, 0, 2), (2, 3, 0)]:
+            empty = getattr(rng, draw)(shape)
+            assert empty.shape == shape and empty.dtype == np.float64
         # an empty draw consumes nothing from the stream
         np.testing.assert_array_equal(getattr(rng, draw)((5,)), getattr(RngStream(3), draw)((5,)))
 
@@ -163,6 +166,10 @@ class TestRngStream:
         a = base.substream(1).normal((100,))
         b = base.substream(2).normal((100,))
         assert not np.array_equal(a, b)
+        # keys of at least 2^63 that differ only in bit 0
+        a, b = RngStream(9).substream(0), RngStream(9).substream(1)
+        assert a._key >= 2**63 and a._key ^ b._key == 1
+        assert not np.array_equal(a.normal((8,)), b.normal((8,)))
 
     def test_nested_substreams_differ(self):
         base = RngStream(5)
@@ -170,27 +177,49 @@ class TestRngStream:
         b = base.substream(2, 1).uniform((50,))
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [7, 2**63 + 5])
     @pytest.mark.parametrize(
-        "ids,shape",
-        [
-            ([0, 2, 3, 7, 8], (20, 50)),
-            ([1, 4, 5], (3, 3)),
-            (list(range(1, 5 * numerics._NORMALS_CHUNK // 2, 2)), (2, 5)),
-            ([], (20, 50)),
-        ],
-        ids=["gaps", "odd", "chunks", "none"],
+        "shape,r",
+        [((9, 5), 4), ((400, 50), 200), ((7, 3, 5), 2)],
+        ids=["odd", "chunks", "3d"],
     )
-    def test_substream_normals_are_the_per_id_draws(self, seed, ids, shape):
-        # ids with gaps, as the empty documents of a split leave; an odd S*d,
-        # whose last sine is dropped; more ids than one chunk, and none. Half
-        # the substream keys, and at seed 2^63 + 5 all, are at least 2^63,
-        # where Philox builds its key through float64
-        rng = RngStream(seed)
-        want = [rng.substream(i).normal(shape) for i in ids]
-        got = rng.substream_normals(ids, shape)
-        assert got.shape == (len(ids), *shape) and got.dtype == np.float64
-        assert got.tobytes() == b"".join(w.tobytes() for w in want)
+    def test_first_rows_are_a_shorter_draw(self, shape, r):
+        # an odd row drops its last sine; 400 rows of 50 span three chunks
+        # of Box-Muller, and the first 200 end inside the second
+        assert shape[-1] % 2 or shape[0] * shape[-1] > 2 * numerics._NORMALS_CHUNK
+        whole = RngStream(7).substream(3).normal(shape)
+        assert whole.shape == shape and whole.dtype == np.float64
+        assert whole[:r].tobytes() == RngStream(7).substream(3).normal((r, *shape[1:])).tobytes()
+
+    @pytest.mark.parametrize("seed,key", [(2**64 - 1, 12345), (-1, 12345), (5, 2**64 - 1)])
+    def test_key_keeps_all_64_bits(self, seed, key):
+        # seed -1 keys its stream as 2^64 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = RngStream(seed, _key=key)
+        state_key = rng._bg.state["state"]["key"]
+        assert state_key.dtype == np.uint64
+        assert state_key.tolist() == [seed & (2**64 - 1), key]
+
+    def test_stream_is_pinned(self):
+        # the first draws of each kind, frozen; a change to the key, the
+        # Philox stream or the Box-Muller layout fails here
+        rng = RngStream(2)
+        assert rng.uniform((3,)).tolist() == [
+            0.6695949188895677, 0.20721507955809682, 0.5639560886205469
+        ]
+        assert rng.normal((3,)).tolist() == [
+            0.36255320856750467, 1.3983228528426288, -0.5475932275215529
+        ]
+        assert rng.normal((2, 3)).tolist() == [
+            [-0.11297259575060269, -0.3140905943105287, -0.5595959255410904],
+            [-0.497430102745682, -0.44144661872108937, -0.19428935685854165],
+        ]
+        sub = RngStream(2).substream(2, 0, 1)  # a training eps substream
+        assert sub._key >= 2**63
+        assert sub.normal((2, 3)).tolist() == [
+            [0.5019433966513562, 0.18455811947170747, -0.14590287135372484],
+            [0.3383013505259093, -1.4139930965256362, -1.2215597563575444],
+        ]
 
     def test_normal_statistics(self):
         z = RngStream(9).normal((10**6,))

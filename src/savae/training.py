@@ -167,7 +167,10 @@ def train(corpus, model_config, train_config, progress=None):
     if not docs:
         raise EmptyCorpus("no non-empty training documents")
     root = RngStream(train_config.seed)
-    params = model_mod.init_params(model_config, root.substream(0))
+    # two ids, so the weights share no stream with a single-id substream of
+    # the seed: substream(0) draws the held-out bound's samples, and single
+    # ids below 100 the split's and the linear probe's shuffles
+    params = model_mod.init_params(model_config, root.substream(0, 0))
     named = params.named_arrays()
     state = AdamState(named)
     log = TrainLog()

@@ -224,6 +224,26 @@ class TestTrain:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_initial_weights_draw_from_their_own_stream(self, monkeypatch):
+        # the bound's samples come from substream(0) of the same seed, and
+        # single ids below 100 shuffle the split and the probe; weights drawn
+        # from one of them would correlate with what scores them
+        streams = []
+        init = model_mod.init_params
+
+        def recording(config, rng):
+            streams.append(rng._key)
+            return init(config, rng)
+
+        monkeypatch.setattr(model_mod, "init_params", recording)
+        split = synthetic_two_topic_corpus(n_docs=10, m=6)
+        mcfg = ModelConfig(mode="nvdm", m=6, d=2, encoder_layers=(4,))
+        seed = 2
+        train(split, mcfg, TrainConfig(learning_rate=0.001, epochs=1, seed=seed))
+        root = RngStream(seed)
+        taken = {root._key} | {root.substream(i)._key for i in range(100)}
+        assert len(streams) == 1 and streams[0] not in taken
+
     def test_elbo_improves_on_learnable_corpus(self):
         split = synthetic_two_topic_corpus(n_docs=200, m=20)
         mcfg = ModelConfig(mode="savae", m=20, d=4, k=3, encoder_layers=(16,))

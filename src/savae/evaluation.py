@@ -72,8 +72,26 @@ def cosine_distances(A, B):
     denom = np.outer(na, nb)
     out = np.ones_like(dots)
     ok = denom > 0
-    out[ok] = 1.0 - dots[ok] / denom[ok]
-    return out
+    np.divide(dots, denom, out=dots, where=ok)
+    return np.subtract(1.0, dots, out=out, where=ok)
+
+
+def _rank_rows(x):
+    """``np.argsort(x, axis=1, kind="stable")`` of a 2-D float array: numpy's
+    default (SIMD) sort, then only the runs of equal sorted values (-0.0 ==
+    0.0, NaN with NaN) put back in index order."""
+    order = np.argsort(x, axis=1)
+    s = np.take_along_axis(x, order, axis=1)
+    link = np.pad(s[:, 1:] == s[:, :-1], ((0, 0), (1, 0)))  # equal to its left neighbour
+    if np.isnan(s[:, -1:]).any():  # NaNs sort last
+        link[:, 1:] |= np.isnan(s[:, 1:]) & np.isnan(s[:, :-1])
+    flat = np.flatnonzero(link | np.roll(link, -1, axis=1))  # link[:, 0] is False
+    run = np.cumsum(~link.reshape(-1)[flat])
+    # each run holds at least 2 positions, so at _QUERY_BLOCK rows of n
+    # columns key < (128 n + 1) n, below 2**63 for any n under 2e8
+    key = run * x.shape[1] + order.reshape(-1)[flat]
+    order.reshape(-1)[flat] = np.sort(key) - run * x.shape[1]
+    return order
 
 
 @dataclass
@@ -117,6 +135,13 @@ def _incidence(label_sets, column):
     return out
 
 
+def _recall_ranks(recall, levels):
+    """Per row of ``recall``, the count of entries below each level; a row
+    never decreases, so that count is the level's insertion point."""
+    ranks = [np.searchsorted(row, levels) for row in recall]
+    return np.array(ranks, dtype=np.intp).reshape(len(recall), len(levels))
+
+
 def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="exact"):
     """Average per-query precision at the recall levels of DEFAULT_RECALL_GRID.
 
@@ -130,7 +155,7 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
     cumulative gain over the total achievable gain.
 
     Queries with no relevant document (R = 0, or zero total gain) are
-    skipped and counted in ``skipped``.
+    skipped and counted in ``skipped``; non-finite input is a ValueError.
 
     Label overlaps come from one product of 0/1 (documents x shared labels)
     incidence matrices, exact in float64. Queries are ranked in blocks of
@@ -150,6 +175,9 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
     ):
         if len(labels) != len(reps):
             raise ValueError(f"{len(reps)} {side} representations but {len(labels)} label sets")
+        bad = np.flatnonzero(~np.isfinite(reps).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{side} representation in row {bad[0]} is not finite")
     grid = np.array(DEFAULT_RECALL_GRID)
     n_index = len(index_reps)
     # a label on one side only adds to no intersection, so it needs no column;
@@ -165,7 +193,7 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
     def precisions(block):
         """Precision at each grid level for the block's queries that have a
         relevant document; every (block, n_index) array dies on return."""
-        order = np.argsort(cosine_distances(query_reps[block], index_reps), axis=1, kind="stable")
+        order = _rank_rows(cosine_distances(query_reps[block], index_reps))
         gains = query_inc[block] @ index_inc  # intersection sizes, then gains in place
         if relevance == "exact":
             np.minimum(gains, 1.0, out=gains)
@@ -180,13 +208,9 @@ def retrieval_pr(query_reps, query_labels, index_reps, index_labels, relevance="
         if relevance == "exact":
             ranks = np.clip(np.ceil(grid * total[:, None]).astype(int), 1, n_index) - 1
         else:
-            recall = cum / total[:, None]
-            # recall never decreases, so the count below a level is its
-            # insertion point; the slack absorbs round-off when a rational
-            # recall sits exactly on a level (0.5 as 0.49999999999999994)
-            ranks = np.stack(
-                [np.count_nonzero(recall < level, axis=1) for level in grid - 1e-9], axis=1
-            )
+            # the slack absorbs round-off when a rational recall sits exactly
+            # on a level (0.5 as 0.49999999999999994)
+            ranks = _recall_ranks(cum / total[:, None], grid - 1e-9)
             ranks = np.minimum(ranks, n_index - 1)
         return np.take_along_axis(cum, ranks, axis=1) / (ranks + 1)
 
@@ -279,7 +303,7 @@ def nearest_words(query, vocab, embeddings, n=5):
         raise UnknownToken(f"token not in vocabulary: {query!r}")
     qid = vocab.index[query]
     dists = cosine_distances(embeddings[qid : qid + 1], embeddings)[0]
-    order = np.argsort(dists, kind="stable")
+    order = _rank_rows(dists[None, :])[0]
     out = []
     for j in order:
         if j == qid:

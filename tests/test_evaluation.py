@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import random_model, tiny_config
@@ -14,6 +17,8 @@ from savae.errors import (
 )
 from savae.evaluation import (
     _QUERY_BLOCK,
+    _rank_rows,
+    _recall_ranks,
     DEFAULT_RECALL_GRID,
     cosine_distances,
     davies_bouldin,
@@ -136,6 +141,67 @@ class TestClusteringIndices:
             np.testing.assert_allclose(
                 silhouette(reps, labels), oracles.silhouette(reps, labels), rtol=1e-10
             )
+
+
+def _tie_rows(kind, shape, rng):
+    """A float array of ``shape`` whose rows are rich in one kind of tie."""
+    if kind == "small-ints":
+        return rng.integers(-3, 4, size=shape).astype(np.float64)
+    if kind == "all-equal":
+        return np.full(shape, 0.25)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0], size=shape)
+    if kind == "nans":
+        return rng.choice([np.nan, np.nan, -1.0, 2.0], size=shape)
+    if kind == "infs":
+        return rng.choice([-np.inf, np.inf, 0.0, 7.5], size=shape)
+    if kind == "row-ends":
+        # the row's least and greatest values repeat, so runs touch both ends
+        x = rng.normal(size=shape)
+        x[:, ::3], x[:, 1::3] = -5.0, 5.0
+        return x
+    return rng.normal(size=shape)  # distinct values: no run to repair
+
+
+class TestRankRows:
+    @pytest.mark.parametrize(
+        "kind", ["small-ints", "all-equal", "signed-zeros", "nans", "infs", "row-ends", "distinct"]
+    )
+    @pytest.mark.parametrize("shape", [(1, 9), (6, 1), (4, 0), (3, 257), (2, 1000)])
+    def test_equals_stable_argsort(self, kind, shape):
+        for seed in range(5):
+            x = _tie_rows(kind, shape, np.random.default_rng(seed))
+            np.testing.assert_array_equal(_rank_rows(x), np.argsort(x, axis=1, kind="stable"))
+
+    @given(hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(0, 40)),
+        elements=st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1e-300, 1.0, 2.0, np.inf, np.nan]),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort_on_mixed_ties(self, x):
+        np.testing.assert_array_equal(_rank_rows(x), np.argsort(x, axis=1, kind="stable"))
+
+    def test_rows_rank_apart(self):
+        # the same values in every row: a run never spans two rows
+        x = np.tile([3.0, 1.0, 3.0, 1.0], (3, 1))
+        np.testing.assert_array_equal(_rank_rows(x), np.tile([1, 3, 0, 2], (3, 1)))
+
+
+class TestRecallRanks:
+    def test_equals_count_below_each_level(self):
+        levels = np.array(DEFAULT_RECALL_GRID) - 1e-9
+        # plateaus, a first entry above every level, and 0.5 rounded below it
+        recall = np.array([
+            [0.0, 0.0, 0.25, 0.25, 0.25, 1.0],
+            [0.1, 0.1, 0.49999999999999994, 0.49999999999999994, 0.9, 1.0],
+            [0.0, 1 / 3, 2 / 3, 2 / 3, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [levels[3], levels[3], levels[10], 1.0, 1.0, 1.0],  # on the shifted levels
+        ])
+        counts = np.count_nonzero(recall[:, :, None] < levels, axis=1)
+        np.testing.assert_array_equal(_recall_ranks(recall, levels), counts)
+        assert _recall_ranks(recall[:0], levels).shape == (0, len(levels))
 
 
 class TestRetrievalPr:
@@ -263,6 +329,28 @@ class TestRetrievalPr:
         )
         np.testing.assert_allclose(curve.precision, expected, atol=1e-10)
         assert (curve.n_queries, curve.skipped) == (used, skipped)
+
+    @pytest.mark.parametrize("mode", ["exact", "jaccard"])
+    def test_matches_oracle_with_duplicated_index_rows(self, mode):
+        # a third of the index repeats earlier rows, so every query row has
+        # tied distances to repair, some in long runs
+        queries, qlabels, index, ilabels = self._integer_case(7, _QUERY_BLOCK + 1, 300)
+        rng = np.random.default_rng(7)
+        index[200:] = index[rng.integers(0, 200, size=100)]
+        curve = retrieval_pr(queries, qlabels, index, ilabels, mode)
+        expected, used, skipped = oracles.retrieval_pr(
+            queries.tolist(), qlabels, index.tolist(), ilabels, mode, DEFAULT_RECALL_GRID
+        )
+        np.testing.assert_allclose(curve.precision, expected, atol=1e-10)
+        assert (curve.n_queries, curve.skipped) == (used, skipped)
+
+    @pytest.mark.parametrize("side", ["query", "index"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_representation_rejected(self, side, value):
+        queries, index = np.ones((3, 2)), np.ones((4, 2))
+        (queries if side == "query" else index)[2, 1] = value
+        with pytest.raises(ValueError, match=f"^{side} representation in row 2 is not finite$"):
+            retrieval_pr(queries, [{"a"}] * 3, index, [{"a"}] * 4, "exact")
 
     @pytest.mark.parametrize("mode", ["exact", "jaccard"])
     def test_every_query_skipped(self, np_rng, mode):

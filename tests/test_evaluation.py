@@ -182,11 +182,6 @@ class TestRankRows:
     def test_equals_stable_argsort_on_mixed_ties(self, x):
         np.testing.assert_array_equal(_rank_rows(x), np.argsort(x, axis=1, kind="stable"))
 
-    def test_rows_rank_apart(self):
-        # the same values in every row: a run never spans two rows
-        x = np.tile([3.0, 1.0, 3.0, 1.0], (3, 1))
-        np.testing.assert_array_equal(_rank_rows(x), np.tile([1, 3, 0, 2], (3, 1)))
-
 
 class TestRecallRanks:
     def test_equals_count_below_each_level(self):

@@ -229,10 +229,14 @@ def _cluster_geometry(reps, labels):
     """Each point's cluster index, the (n, C) point-centroid cosine distances,
     each cluster's dispersion (the mean distance of its members to its
     centroid) and the (C, C) centroid distances; clusters are in
-    ``sorted(set(labels), key=str)`` order, centroids the means of rows."""
+    ``sorted(set(labels), key=str)`` order, centroids the means of rows.
+    Raises ValueError on a representation that is not finite."""
     reps = np.asarray(reps, dtype=np.float64)
     if len(reps) != len(labels):
         raise ValueError("representation/label count mismatch")
+    bad = np.flatnonzero(~np.isfinite(reps).all(axis=1))
+    if len(bad):
+        raise ValueError(f"representation in row {bad[0]} is not finite")
     order = sorted(set(labels), key=str)
     if len(order) < 2:
         raise DegenerateClusters("need at least 2 clusters")

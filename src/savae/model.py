@@ -26,7 +26,8 @@ mode). Training and evaluation both use the split:
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
   through their per-document sums, a (B, m) array. The savae softmax runs
   over fixed blocks of positions in one reused buffer, so no (T, m) array
-  of a batch's T tokens is formed.
+  of a batch's T tokens is formed. Gradients go in place into one dict of
+  arrays that a training run passes to every step.
 - In nvdm mode the position part is absent, so both go through word
   counts (``_bag_of_words_log_likelihoods``) and are exactly invariant to the order
   of a document's words.
@@ -375,7 +376,8 @@ def _local_contexts(ids, lengths, params, config):
     summed = np.zeros((T, config.d))
     for column in np.append(ids, config.m)[source].T:
         summed += table[column]
-    return sigmoid(summed + params.c_local), source
+    summed += params.c_local
+    return sigmoid(summed), source
 
 
 def _exp_rows_in_place(rows):
@@ -587,34 +589,45 @@ def _local_softmax_blocks(zl, H, X_local, targets, lengths):
     return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G, dX_local_T.T, dH
 
 
-def _local_channel_gradients(Z, zl, targets, lengths, params, config):
-    """The savae half of ``batch_elbo_gradients``: log-likelihoods, G and the
-    gradients of X, c_local and V_local. The local channel's (T, d) arrays
-    are freed on return, before the encoder's backward, where a training
-    step's memory peaks."""
-    m, d = config.m, config.d
+def _local_channel_gradients(Z, zl, targets, lengths, params, config, grad):
+    """The savae half of ``batch_elbo_gradients``: writes the gradients of X,
+    c_local and V_local into ``grad(name)`` and returns the log-likelihoods
+    and G. The local channel's (T, d) arrays are freed on return, before the
+    encoder's backward, where a training step's memory peaks."""
+    m, d, k = config.m, config.d, config.k
     H, source = _local_contexts(targets, lengths, params, config)  # (T, d)
-    recon, G, dX_local, dH = _local_softmax_blocks(zl, H, params.X[:, d:], targets, lengths)
-    dS = dH * H * (1.0 - H)
+    recon, G, dX_local, dS = _local_softmax_blocks(zl, H, params.X[:, d:], targets, lengths)
+    dX = grad("X")
+    np.matmul(G.T, Z, out=dX[:, :d])
+    dX[:, d:] = dX_local
+    # dS = dH * H * (1 - H), in that order, in dH's memory; H becomes 1 - H
+    dS *= H
+    dS *= np.subtract(1.0, H, out=H)
+    np.sum(dS, axis=0, out=grad("c_local"))
     # the word at position u is in the windows of the next k positions of
-    # its document; R[u] sums their dS, nearest first, and row T takes the
-    # empty slots (within a column, T is the only repeated index). V_local's
-    # gradient sums R by word, in one bincount over (word, column) bins.
-    R = np.zeros((len(targets) + 1, d))
-    for column in source.T[::-1]:
-        R[column] += dS
-    bins = (targets[:, None] * d + np.arange(d)).ravel()
-    dV_local = np.bincount(bins, R[:-1].ravel(), m * d).reshape(m, d)
-    return recon, G, np.concatenate([G.T @ Z, dX_local], axis=1), dS.sum(axis=0), dV_local
+    # its document; R[u] sums their dS, nearest first, skipping a position
+    # whose window slot reaches before its document (source holds T there).
+    # V_local's gradient sums R by word, one bincount per column.
+    R = np.zeros_like(dS)
+    for o in range(1, k + 1):
+        np.add(R[:-o], dS[o:], out=R[:-o], where=source[o:, k - o, None] < len(R))
+    dV_local = grad("V_local")
+    for j in range(d):
+        dV_local[:, j] = np.bincount(targets, R[:, j], m)
+    return recon, G
 
 
-def batch_elbo_gradients(docs, params, config, eps):
+def batch_elbo_gradients(docs, params, config, eps, out=None):
     """Summed single-sample ELBO gradients over a batch of documents.
 
     ``eps`` has shape (B, d), one fixed standard-normal draw per document.
     Returns (per-doc ElboEstimate list, grads dict summed over the batch).
     The maximization objective's gradient is returned directly (ascent
     direction).
+
+    Each gradient is written in place into ``out``'s array of its name,
+    created there on first use (``None``: a fresh dict); a training run
+    passes one dict to every step. The returned dict holds those arrays.
 
     Every logit is ``zl[doc(t)] + H[t] X_local^T`` with the (B, m) z part
     ``zl = Z X_z^T + b``, so the z half of the decoder's gradients needs
@@ -634,6 +647,15 @@ def batch_elbo_gradients(docs, params, config, eps):
             raise EmptyDocument("empty document in training batch")
     m, d = config.m, config.d
     eps = np.asarray(eps, dtype=np.float64)
+    shapes = expected_shapes(config)
+    out = {} if out is None else out
+
+    def grad(name):
+        # created at its first write: a set made before the first step put
+        # each step's temporaries at the heap top, faulted in again each step
+        if name not in out:
+            out[name] = np.empty(shapes[name])
+        return out[name]
 
     targets, lengths = _pack(docs)
     mu, log_var, (words, acts) = _encoder_forward(targets, lengths, params)
@@ -642,18 +664,15 @@ def batch_elbo_gradients(docs, params, config, eps):
 
     X_z = params.X[:, :d]
     zl = Z @ X_z.T + params.b  # (B, m)
-    grads = OrderedDict()
     if config.mode == SAVAE:
-        recon, G, grads["X"], grads["c_local"], grads["V_local"] = _local_channel_gradients(
-            Z, zl, targets, lengths, params, config
-        )
+        recon, G = _local_channel_gradients(Z, zl, targets, lengths, params, config, grad)
     else:
         # a dense encoder block already holds the (B, m) counts
         counts = acts[0] if words is None else _packed_counts(targets, lengths, m)
         recon, lse = _bag_of_words_log_likelihoods(zl.copy(), counts, lengths)
         G = counts - lengths[:, None] * np.exp(zl - lse[:, None])
-        grads["X"] = G.T @ Z
-    grads["b"] = G.sum(axis=0)
+        np.matmul(G.T, Z, out=grad("X"))
+    np.sum(G, axis=0, out=grad("b"))
     dZ = G @ X_z
 
     kl = kl_standard_normal(mu, log_var)  # (B,)
@@ -663,21 +682,22 @@ def batch_elbo_gradients(docs, params, config, eps):
     dlog_var = dZ * 0.5 * sd * eps - 0.5 * np.expm1(log_var)
 
     h_top = acts[-1]
-    grads["W_mu"] = h_top.T @ dmu
-    grads["b_mu"] = dmu.sum(axis=0)
-    grads["W_logvar"] = h_top.T @ dlog_var
-    grads["b_logvar"] = dlog_var.sum(axis=0)
+    np.matmul(h_top.T, dmu, out=grad("W_mu"))
+    np.sum(dmu, axis=0, out=grad("b_mu"))
+    np.matmul(h_top.T, dlog_var, out=grad("W_logvar"))
+    np.sum(dlog_var, axis=0, out=grad("b_logvar"))
 
     dh = dmu @ params.W_mu.T + dlog_var @ params.W_logvar.T
     for i in range(len(params.enc_W) - 1, -1, -1):
         da = dh * (acts[i + 1] > 0)  # relu(x) > 0 exactly where x > 0
-        grads[f"enc_W_{i}"] = acts[i].T @ da
-        grads[f"enc_b_{i}"] = da.sum(axis=0)
+        dW = grad(f"enc_W_{i}")
+        if i == 0 and words is not None:  # the first layer read only rows U of enc_W_0
+            dW[:] = 0.0
+            dW[words] = acts[0].T @ da
+        else:
+            np.matmul(acts[i].T, da, out=dW)
+        np.sum(da, axis=0, out=grad(f"enc_b_{i}"))
         if i > 0:
             dh = da @ params.enc_W[i].T
-    if words is not None:  # the first layer read only rows U of enc_W_0
-        dW = np.zeros_like(params.enc_W[0])
-        dW[words] = grads["enc_W_0"]
-        grads["enc_W_0"] = dW
 
-    return estimates, OrderedDict((name, grads[name]) for name in expected_shapes(config))
+    return estimates, OrderedDict((name, out[name]) for name in shapes)

@@ -106,9 +106,13 @@ def relu(x):
 
 def sigmoid(x):
     """Numerically stable elementwise logistic function: with e = exp(-|x|),
-    which never overflows, 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    which never overflows, 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    as ``exp(min(x, 0)) / (1 + exp(-|x|))`` in place on two new arrays."""
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    num, den = np.empty_like(x), np.empty_like(x)
+    np.exp(np.minimum(x, 0.0, out=num), out=num)
+    np.add(1.0, np.exp(np.negative(np.abs(x, out=den), out=den), out=den), out=den)
+    return np.divide(num, den, out=num)[()]  # [()]: a 0-d input gives a scalar
 
 
 def kl_standard_normal(mu, log_var):

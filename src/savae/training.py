@@ -173,6 +173,7 @@ def train(corpus, model_config, train_config, progress=None):
     params = model_mod.init_params(model_config, root.substream(0, 0))
     named = params.named_arrays()
     state = AdamState(named)
+    gradients = {}  # the run's one gradient set, filled by its first step
     log = TrainLog()
     n = len(docs)
     bs = train_config.batch_size
@@ -188,7 +189,7 @@ def train(corpus, model_config, train_config, progress=None):
             eps = root.substream(2, epoch, bi).normal((len(batch), model_config.d))
             try:
                 estimates, grads = model_mod.batch_elbo_gradients(
-                    batch, params, model_config, eps
+                    batch, params, model_config, eps, out=gradients
                 )
                 adam_step(named, grads, state, train_config.learning_rate, len(batch))
             except NonFiniteGradient as err:

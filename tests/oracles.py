@@ -374,6 +374,13 @@ def exact_doc_log_likelihoods(ids, Z, params, config, digits=50):
     return np.array(totals)
 
 
+def sigmoid(x):
+    """The logistic function by its two-exp formula, with a temporary per
+    operation: exp(min(x, 0)) / (1 + exp(-|x|))."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def adam_step(params, grads, m, v, t, learning_rate):
     """Plain Adam ascent step t (1-based), in place on params, m and v.
 

@@ -77,6 +77,14 @@ class TestClusteringIndices:
         with pytest.raises(DegenerateClusters, match="^need at least 2 clusters$"):
             index(np.eye(3), ["a"] * 3)
 
+    @pytest.mark.parametrize("index", [davies_bouldin, dunn, silhouette])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_representation_rejected(self, index, value):
+        reps = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
+        reps[2, 0] = value
+        with pytest.raises(ValueError, match="^representation in row 2 is not finite$"):
+            index(reps, ["a", "a", "b", "b"])
+
     def test_tight_orthogonal_clusters(self):
         reps = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
         labels = ["a"] * 3 + ["b"] * 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from oracles import log_softmax, mc_kl_standard_normal, sample_reparameterized
 from savae import numerics
 from savae.numerics import RngStream, kl_standard_normal, relu, sigmoid
@@ -65,6 +66,29 @@ class TestActivations:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e-300, -1e-300]),
+            np.random.default_rng(8).standard_normal((257, 50)) * 40.0,
+            np.random.default_rng(9).standard_normal((3, 4, 5)).T,  # not C-contiguous
+            np.array(-0.0),
+            np.array(np.nan),
+            np.array(745.0),
+            np.float64(-1e-300),
+            -745.0,
+            0.5,
+            -0.0,
+        ],
+    )
+    def test_sigmoid_equals_the_two_exp_oracle_bitwise(self, x):
+        before = np.array(x, copy=True)
+        got, want = sigmoid(x), oracles.sigmoid(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.array(x).tobytes() == before.tobytes()
 
 
 class TestReparameterization:

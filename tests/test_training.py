@@ -305,13 +305,31 @@ class TestTrain:
         assert len(lines) == 3
         assert lines[1].startswith("1,")
 
+    @pytest.mark.parametrize("mode", ["savae", "nvdm"])
+    def test_steps_share_one_gradient_set(self, monkeypatch, mode):
+        split = synthetic_two_topic_corpus(n_docs=12, m=6)
+        mcfg = ModelConfig(mode=mode, m=6, d=2, k=2, encoder_layers=(3,))
+        real = model_mod.batch_elbo_gradients
+        seen = []
+
+        def recording(docs, params, config, eps, out=None):
+            estimates, grads = real(docs, params, config, eps, out)
+            seen.append(list(grads.values()))
+            return estimates, grads
+
+        monkeypatch.setattr(model_mod, "batch_elbo_gradients", recording)
+        train(split, mcfg, TrainConfig(learning_rate=0.001, epochs=2, batch_size=4))
+        assert len(seen) == 2 * 3
+        for arrays in seen[1:]:
+            assert all(a is b for a, b in zip(arrays, seen[0], strict=True))
+
     def test_per_word_bound_past_exp_overflow(self, monkeypatch):
         split = synthetic_two_topic_corpus(n_docs=12, m=6)
         mcfg = ModelConfig(mode="nvdm", m=6, d=2, encoder_layers=(3,))
         real = model_mod.batch_elbo_gradients
 
-        def huge_loss(docs, params, config, eps):
-            estimates, grads = real(docs, params, config, eps)
+        def huge_loss(docs, params, config, eps, out=None):
+            estimates, grads = real(docs, params, config, eps, out)
             return [ElboEstimate(-800.0 * doc.length, 0.0) for doc in docs], grads
 
         monkeypatch.setattr(model_mod, "batch_elbo_gradients", huge_loss)

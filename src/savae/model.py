@@ -24,10 +24,12 @@ mode). Training and evaluation both use the split:
   tensor. The bound's memory grows with one group's tokens and the one
   (N, S, d) draw array, not with the split (see ``_packed_log_likelihoods``).
 - Training (``batch_elbo_gradients``) needs the z half's gradients only
-  through their per-document sums, a (B, m) array. The savae softmax runs
-  over fixed blocks of positions in one reused buffer, so no (T, m) array
-  of a batch's T tokens is formed. Gradients go in place into one dict of
-  arrays that a training run passes to every step.
+  through their per-document sums, a (B, m) array. The savae local channel
+  runs over blocks of ``_ROW_BLOCK`` positions, each with its own local
+  contexts, softmax and backward in one reused buffer, so a step holds no
+  array that grows with a batch's T tokens beyond (T,) ones. Gradients go
+  in place into one dict of arrays that a training run passes to every
+  step.
 - In nvdm mode the position part is absent, so both go through word
   counts (``_bag_of_words_log_likelihoods``) and are exactly invariant to the order
   of a document's words.
@@ -41,8 +43,8 @@ mode). Training and evaluation both use the split:
 Training, evaluation and representation share the packed layout and one
 encoder forward (``_encoder_forward``); training and evaluation also share
 one log-variance check (``_posterior_sd``), one local channel
-(``_local_contexts``, whose window-source index training's backward
-scatters through) and one KL (``numerics.kl_standard_normal``). The
+(``_local_contexts``, built one block of positions at a time by both) and
+one KL (``numerics.kl_standard_normal``). The
 encoder runs over blocks of packed documents: a whole batch in training,
 ``_ENCODER_BLOCK`` documents in ``encode_docs``. A block whose distinct
 words are few next to m multiplies only their rows of the first layer's
@@ -240,8 +242,11 @@ def init_params(config, rng):
     """Xavier-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
 
     def xavier(shape):
-        s = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return (rng.uniform(shape) * 2.0 - 1.0) * s
+        u = rng.uniform(shape)
+        u *= 2.0
+        u -= 1.0
+        u *= np.sqrt(6.0 / (shape[0] + shape[1]))
+        return u
 
     named = OrderedDict()
     for name, shape in expected_shapes(config).items():
@@ -357,27 +362,25 @@ def encode(doc, params, config):
     return mu[0], log_var[0]
 
 
-def _local_contexts(ids, lengths, params, config):
-    """Local context vectors of concatenated documents of ``lengths`` tokens.
+def _local_contexts(ids, doc_start, t0, t1, params, config):
+    """Local context vectors H, shape (t1 - t0, d), of positions t0..t1-1 of
+    packed documents: ``ids`` holds them back to back and ``doc_start[t]``
+    is the first position of t's document.
 
-    Returns H (T, d) and the (T, k) window-source index: column ``k - o`` of
-    row t holds t - o while that position lies in t's document, and T
-    otherwise. H sums the local embeddings of the window's words, farthest
-    first; an empty slot reads word m, a zero row appended to V_local (a
-    (T + 1, d) copy of the rows to read would raise the peak memory).
+    Row t sums the local embeddings of the k words before t in its document,
+    farthest first, skipping the window slots before the document, then
+    adds c_local and squashes. Each row is computed on its own, so any
+    split of [0, T) into ranges gives the rows of the whole batch. Training
+    and the bound build them one block of positions at a time, so neither
+    holds an array that grows with the tokens beyond (T,) index arrays.
     """
-    ids = np.asarray(ids, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    T = len(ids)
-    doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    source = np.arange(T)[:, None] - np.arange(config.k, 0, -1)
-    source[source < doc_start[:, None]] = T
-    table = np.concatenate([params.V_local, np.zeros((1, config.d))])
-    summed = np.zeros((T, config.d))
-    for column in np.append(ids, config.m)[source].T:
-        summed += table[column]
+    t = np.arange(t0, t1)
+    summed = np.zeros((t1 - t0, config.d))
+    for o in range(config.k, 0, -1):
+        inside = (t - o >= doc_start[t0:t1])[:, None]
+        np.add(summed, params.V_local[ids[np.maximum(t - o, 0)]], out=summed, where=inside)
     summed += params.c_local
-    return sigmoid(summed), source
+    return sigmoid(summed)
 
 
 def _exp_rows_in_place(rows):
@@ -480,14 +483,14 @@ def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
                 z_part.reshape(nb, S, m), counts[:, None], lengths[a:b, None]
             )[0]
             continue
-        H, _ = _local_contexts(targets, lengths[a:b], params, config)
         doc = np.repeat(np.arange(nb), lengths[a:b])  # the group's document of each position
         # the (S, positions) picked logits, gathered before both parts become their exps
         picked = z_part.reshape(nb, S, m)[doc, :, targets].T
         zmax = _exp_rows_in_place(z_part)
         for s0 in range(0, len(targets), _ROW_BLOCK):
             s1 = min(s0 + _ROW_BLOCK, len(targets))
-            pos_part = np.matmul(H[s0:s1], X_local_T, out=pos_part_buf[: s1 - s0])
+            H = _local_contexts(targets, edge[doc], s0, s1, params, config)
+            pos_part = np.matmul(H, X_local_T, out=pos_part_buf[: s1 - s0])
             picked[:, s0:s1] += pos_part[np.arange(s1 - s0), targets[s0:s1]]
             pmax = _exp_rows_in_place(pos_part)
             sums = np.empty((S, s1 - s0))
@@ -506,7 +509,7 @@ def _packed_log_likelihoods(ids, lengths, mu, sd, eps, params, config):
             for c in range(0, len(low_s), _ROW_BLOCK):
                 ls, lt = low_s[c : c + _ROW_BLOCK], low_t[c : c + _ROW_BLOCK]
                 z_rows = Z[doc[s0 + lt], ls] @ X_z_T + params.b
-                shift[ls, lt] = _logsumexp_rows(z_rows + H[s0 + lt] @ X_local_T)
+                shift[ls, lt] = _logsumexp_rows(z_rows + H[lt] @ X_local_T)
             picked[:, s0:s1] -= np.log(sums) + shift
         out[a:b] = np.add.reduceat(picked, edge[:-1], axis=1).T
     return out
@@ -542,37 +545,52 @@ def elbo(doc, params, config, rng, samples=1):
     return elbo_estimates([doc], params, config, rng.normal((1, samples, config.d)))[0]
 
 
-def _local_softmax_blocks(zl, H, X_local, targets, lengths):
-    """Savae decoder softmax and its logit gradients, ``_ROW_BLOCK`` rows at a time.
+def _local_channel_gradients(Z, zl, targets, lengths, params, config, grad):
+    """The savae half of ``batch_elbo_gradients``: writes the gradients of X,
+    c_local and V_local into ``grad(name)`` and returns the per-document
+    log-likelihoods and G.
 
-    Position t of the concatenated documents has the logits
-    ``zl[doc(t)] + H[t] X_local^T``. A block of rows takes them from one
-    GEMM, ``[H, E] [X_local, zl^T]^T``, where E is the one-hot (rows, docs)
-    indicator of the documents in the block, into one reused buffer. The
-    buffer becomes the block's ``dlogits = onehot - P`` in place, and one
-    GEMM ``[H, E]^T dlogits`` gives both the block's share of
-    ``dX_local^T`` and the rows of G, the per-document sums of dlogits.
-    Returns the per-document log-likelihoods of ``targets``, G (shape of
-    ``zl``), ``dX_local`` and ``dH``; no (T, m) array is formed.
+    Position t has the logits ``zl[doc(t)] + H[t] X_local^T``. Positions run
+    in blocks of ``_ROW_BLOCK``, each with its own local contexts H. A block
+    takes its logits from one GEMM, ``[H, E] [X_local, zl^T]^T``, where E is
+    the one-hot (rows, docs) indicator of its documents, into one reused
+    buffer. The buffer becomes the block's ``dlogits = onehot - P`` in
+    place, and one GEMM ``[H, E]^T dlogits`` gives both the block's share of
+    ``dX_local^T`` and the rows of G, the per-document sums of dlogits. The
+    block's ``dS = (dlogits X_local) * H * (1 - H)`` adds its share of the
+    c_local and V_local gradients; at most k dS rows wait for the next
+    block. So no array but (T,) ones grows with the batch's T tokens.
     """
-    T, d = H.shape
+    m, d, k = config.m, config.d, config.k
+    T = len(targets)
+    X_local = params.X[:, d:]
     pos_doc = np.repeat(np.arange(len(lengths)), lengths)
+    doc_start = (np.cumsum(lengths) - lengths)[pos_doc]
+    starts = np.arange(0, T, _ROW_BLOCK)
+    most_docs = (pos_doc[np.minimum(starts + _ROW_BLOCK, T) - 1] - pos_doc[starts]).max() + 1
     logp = np.empty(T)
     G = np.zeros_like(zl)
-    dX_local_T = np.zeros((d, zl.shape[1]))
-    dH = np.empty_like(H)
-    buf = np.empty((min(_ROW_BLOCK, T), zl.shape[1]))
+    dX_local_T = np.zeros((d, m))
+    buf = np.empty((min(_ROW_BLOCK, T), m))
     # decoder weights of a block: X_local^T, then the z parts of its documents
-    W = np.empty((d + min(len(zl), _ROW_BLOCK), zl.shape[1]))
+    W = np.empty((d + most_docs, m))
     W[:d] = X_local.T
-    for start in range(0, T, _ROW_BLOCK):
+    back_buf = np.empty_like(W)
+    dc, dV = grad("c_local"), grad("V_local")
+    dV[:] = 0.0
+    # numpy sums a (T, 1) array pairwise and wider ones row after row, so at
+    # d = 1 the dS rows wait for one sum at the end
+    column = np.empty((T, 1)) if d == 1 else None
+    carry = np.empty((0, d))  # dS rows whose window sums wait for later ones
+    for start in starts:
         stop = min(start + _ROW_BLOCK, T)
         rows = np.arange(stop - start)
         first = pos_doc[start]
         docs = pos_doc[start:stop] - first
         n_docs = docs[-1] + 1
+        H = _local_contexts(targets, doc_start, start, stop, params, config)
         C = np.zeros((stop - start, d + n_docs))
-        C[:, :d] = H[start:stop]
+        C[:, :d] = H
         C[rows, d + docs] = 1.0
         W[d : d + n_docs] = zl[first : first + n_docs]
         block = np.matmul(C, W[: d + n_docs], out=buf[: stop - start])
@@ -582,39 +600,38 @@ def _local_softmax_blocks(zl, H, X_local, targets, lengths):
         logp[start:stop] = picked - shift - np.log(sums)
         block *= (-1.0 / sums)[:, None]
         block[rows, targets[start:stop]] += 1.0
-        back = C.T @ block  # (d + n_docs, m)
+        back = np.matmul(C.T, block, out=back_buf[: d + n_docs])  # (d + n_docs, m)
         dX_local_T += back[:d]
         G[first : first + n_docs] += back[d:]
-        np.matmul(block, X_local, out=dH[start:stop])
-    return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G, dX_local_T.T, dH
-
-
-def _local_channel_gradients(Z, zl, targets, lengths, params, config, grad):
-    """The savae half of ``batch_elbo_gradients``: writes the gradients of X,
-    c_local and V_local into ``grad(name)`` and returns the log-likelihoods
-    and G. The local channel's (T, d) arrays are freed on return, before the
-    encoder's backward, where a training step's memory peaks."""
-    m, d, k = config.m, config.d, config.k
-    H, source = _local_contexts(targets, lengths, params, config)  # (T, d)
-    recon, G, dX_local, dS = _local_softmax_blocks(zl, H, params.X[:, d:], targets, lengths)
+        # dS = dH * H * (1 - H), in that order, in dH's memory; H becomes 1 - H
+        dS = block @ X_local
+        dS *= H
+        dS *= np.subtract(1.0, H, out=H)
+        if column is not None:
+            column[start:stop] = dS
+        else:
+            np.add.reduce(np.vstack([dc[None], dS]) if start else dS, axis=0, out=dc)
+        # the word at u is in the windows of the next k positions of its
+        # document (u + o is when doc_start[u + o] <= u): R[u] sums their dS,
+        # nearest first, for the rows whose k followers are in hand, and
+        # V_local's gradient adds R by word in position order.
+        D = np.concatenate([carry, dS])
+        p0 = start - len(carry)
+        done = stop if stop == T else max(p0, stop - k)
+        u = np.arange(p0, done)
+        R = np.zeros((done - p0, d))
+        for o in range(1, k + 1):
+            n = max(0, min(done, stop - o) - p0)
+            inside = (doc_start[u[:n] + o] <= u[:n])[:, None]
+            np.add(R[:n], D[o : o + n], out=R[:n], where=inside)
+        np.add.at(dV.reshape(-1), (targets[p0:done, None] * d + np.arange(d)).ravel(), R.ravel())
+        carry = D[done - p0 :]
+    if column is not None:
+        np.sum(column, axis=0, out=dc)
     dX = grad("X")
     np.matmul(G.T, Z, out=dX[:, :d])
-    dX[:, d:] = dX_local
-    # dS = dH * H * (1 - H), in that order, in dH's memory; H becomes 1 - H
-    dS *= H
-    dS *= np.subtract(1.0, H, out=H)
-    np.sum(dS, axis=0, out=grad("c_local"))
-    # the word at position u is in the windows of the next k positions of
-    # its document; R[u] sums their dS, nearest first, skipping a position
-    # whose window slot reaches before its document (source holds T there).
-    # V_local's gradient sums R by word, one bincount per column.
-    R = np.zeros_like(dS)
-    for o in range(1, k + 1):
-        np.add(R[:-o], dS[o:], out=R[:-o], where=source[o:, k - o, None] < len(R))
-    dV_local = grad("V_local")
-    for j in range(d):
-        dV_local[:, j] = np.bincount(targets, R[:, j], m)
-    return recon, G
+    dX[:, d:] = dX_local_T.T
+    return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G
 
 
 def batch_elbo_gradients(docs, params, config, eps, out=None):

@@ -61,10 +61,9 @@ class RngStream:
         return RngStream(self.seed, _key=_fold(self._key, ids))
 
     def uniform(self, shape=()):
-        """Uniform doubles in [0, 1)."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._bg.random_raw(n) >> np.uint64(11)).astype(np.float64) * _U53
-        return u.reshape(shape) if shape else float(u[0])
+        """Uniform doubles in [0, 1): numpy's doubles of the Philox stream,
+        the top 53 bits of each raw draw times 2^-53."""
+        return np.random.Generator(self._bg).random(shape or None)
 
     def normal(self, shape=()):
         """Standard normal draws via Box-Muller, row by row along the last

@@ -4,6 +4,9 @@ Everything here is written loop-by-loop from the defining formulas and
 shares no code with the package internals it checks, except
 ``doc_log_likelihoods``: the package's packed likelihood of one document,
 the form in which the tests compare it with these references.
+``batch_local_channel_gradients`` is the exception in the other direction:
+not a naive reference but the package's earlier batch-wide local channel,
+kept to hold the streamed one to the same bits.
 """
 
 import csv
@@ -250,6 +253,75 @@ def elbo_with_fixed_eps(docs, params, config, eps):
         kl = 0.5 * np.sum(q.mu**2 + np.exp(q.log_var) - q.log_var - 1.0)
         totals[i] = ll - kl
     return totals
+
+
+def batch_local_channel_gradients(Z, zl, targets, lengths, params, config, grad, block=256):
+    """The savae half of ``model.batch_elbo_gradients`` as it ran before the
+    local channel was streamed: a bit-exact reference, with ``block`` for
+    ``model._ROW_BLOCK``, that holds the whole batch's (T, d) arrays.
+
+    It builds H and the (T, k) window-source index of all T positions (a
+    slot before its document reads a zero row), runs the softmax and its
+    logit gradients ``block`` rows at a time, then forms dS over the whole
+    batch, sums it for c_local, takes the window sums R by shifted adds and
+    V_local's gradient by one bincount per column. It writes into
+    ``grad(name)`` and returns the log-likelihoods and G.
+    """
+    m, d, k = config.m, config.d, config.k
+    X_local = params.X[:, d:]
+    T = len(targets)
+    pos_doc = np.repeat(np.arange(len(lengths)), lengths)
+    doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    source = np.arange(T)[:, None] - np.arange(k, 0, -1)
+    source[source < doc_start[:, None]] = T
+    table = np.concatenate([params.V_local, np.zeros((1, d))])
+    summed = np.zeros((T, d))
+    for column in np.append(targets, m)[source].T:
+        summed += table[column]
+    summed += params.c_local
+    H = sigmoid(summed)
+
+    logp = np.empty(T)
+    G = np.zeros_like(zl)
+    dX_local_T = np.zeros((d, m))
+    dH = np.empty_like(H)
+    W = np.empty((d + min(len(zl), block), m))
+    W[:d] = X_local.T
+    for start in range(0, T, block):
+        stop = min(start + block, T)
+        rows = np.arange(stop - start)
+        first = pos_doc[start]
+        docs = pos_doc[start:stop] - first
+        n_docs = docs[-1] + 1
+        C = np.zeros((stop - start, d + n_docs))
+        C[:, :d] = H[start:stop]
+        C[rows, d + docs] = 1.0
+        W[d : d + n_docs] = zl[first : first + n_docs]
+        logits = C @ W[: d + n_docs]
+        picked = logits[rows, targets[start:stop]]
+        shift = logits.max(axis=1)
+        e = np.exp(logits - shift[:, None])
+        sums = e.sum(axis=1)
+        logp[start:stop] = picked - shift - np.log(sums)
+        e *= (-1.0 / sums)[:, None]
+        e[rows, targets[start:stop]] += 1.0
+        back = C.T @ e
+        dX_local_T += back[:d]
+        G[first : first + n_docs] += back[d:]
+        dH[start:stop] = e @ X_local
+
+    dX = grad("X")
+    np.matmul(G.T, Z, out=dX[:, :d])
+    dX[:, d:] = dX_local_T.T
+    dS = dH * H * (1.0 - H)
+    np.sum(dS, axis=0, out=grad("c_local"))
+    R = np.zeros_like(dS)
+    for o in range(1, k + 1):
+        np.add(R[:-o], dS[o:], out=R[:-o], where=source[o:, k - o, None] < T)
+    dV = grad("V_local")
+    for j in range(d):
+        dV[:, j] = np.bincount(targets, R[:, j], m)
+    return np.bincount(pos_doc, weights=logp, minlength=len(zl)), G
 
 
 def dense_batch_elbo_gradients(docs, params, config, eps):
